@@ -386,14 +386,16 @@ int main(int argc, char** argv) {
             << ", evicted messages: " << soak.retention.evicted_messages
             << '\n';
 
+  // emplace_back builds each JsonValue in place: push_back of a temporary
+  // moves its std::variant, which GCC 12 reports as maybe-uninitialized.
   JsonArray rss_deciles, resident_deciles, rate_deciles, compaction_deciles;
   for (std::size_t d = 0; d < kDeciles; ++d) {
-    rss_deciles.push_back(
+    rss_deciles.emplace_back(
         static_cast<long long>(soak.deciles[d].rss_kb));
-    resident_deciles.push_back(
+    resident_deciles.emplace_back(
         static_cast<unsigned long long>(soak.deciles[d].retention.resident_bytes));
-    rate_deciles.push_back(decile_rate(soak, d));
-    compaction_deciles.push_back(soak.deciles[d].retention.compactions);
+    rate_deciles.emplace_back(decile_rate(soak, d));
+    compaction_deciles.emplace_back(soak.deciles[d].retention.compactions);
   }
   report.add_metrics(
       "retention_on",
@@ -455,7 +457,7 @@ int main(int argc, char** argv) {
 
   JsonArray keepall_curve;
   for (const std::size_t b : eq.keepall_curve)
-    keepall_curve.push_back(static_cast<unsigned long long>(b));
+    keepall_curve.emplace_back(static_cast<unsigned long long>(b));
   report.add_metrics(
       "retention_off",
       JsonObject{

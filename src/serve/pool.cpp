@@ -157,10 +157,16 @@ void ServePool::drain() {
 }
 
 void ServePool::worker_loop(Shard& s) {
-  Frame scratch;  // reused across frames: zero steady-state allocation
-  PiggybackScratch pb_scratch;
+  // Worker-local scratch, grow-only and bounded by the ring.
+  const std::size_t max_batch = std::max<std::size_t>(1, options_.queue_frames / 2);
+  FrameApplier applier(options_.num_processes);
+  std::vector<Item> batch;
+  std::vector<std::size_t> order;  // batch indices of the frames
+  std::vector<std::span<const std::uint8_t>> group;
+  batch.reserve(max_batch);
+  order.reserve(max_batch);
+  group.reserve(max_batch);
   for (;;) {
-    Item item;
     {
       const MutexLock lock(s.mu);
       s.busy = false;
@@ -169,68 +175,150 @@ void ServePool::worker_loop(Shard& s) {
         while (s.count == 0 && !s.stopping) s.nonempty.wait(s.mu);
         if (s.count == 0) return;  // stopping, queue fully drained
       }
-      item = std::move(s.ring[s.head]);
-      s.head = (s.head + 1) % s.ring.size();
-      --s.count;
+      const std::size_t take = std::min(s.count, max_batch);
+      for (std::size_t i = 0; i < take; ++i) {
+        batch.push_back(std::move(s.ring[s.head]));
+        s.head = (s.head + 1) % s.ring.size();
+      }
+      s.count -= take;
       s.busy = true;
-      s.space.notify_one();
+      s.space.notify_all();
     }
-    if (item.close) {
-      const MutexLock lock(s.mu);
+    // Group the frames by session; ties keep batch order, which is the
+    // session's submission order.
+    order.clear();
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      if (!batch[i].close) order.push_back(i);
+    std::sort(order.begin(), order.end(), [&batch](std::size_t a, std::size_t b) {
+      return std::pair(batch[a].session, a) < std::pair(batch[b].session, b);
+    });
+    ShardStats applied;
+    for (std::size_t g = 0; g < order.size();) {
+      const Item& first = batch[order[g]];
+      group.clear();
+      for (; g < order.size() && batch[order[g]].session == first.session; ++g)
+        group.emplace_back(batch[order[g]].bytes);
+      applier.apply(*first.engine, *first.codec, group, applied);
+    }
+    // Drop the engine references before parking, so an idle worker never
+    // pins a closed session's engine against the reuse guard.
+    for (Item& item : batch) {
+      item.engine.reset();
+      item.codec.reset();
+    }
+    const MutexLock lock(s.mu);
+    s.stats.frames += applied.frames;
+    s.stats.events += applied.events;
+    s.stats.feeds += applied.feeds;
+    s.stats.rejected += applied.rejected;
+    s.stats.piggyback_frames += applied.piggyback_frames;
+    s.stats.piggyback_bits += applied.piggyback_bits;
+    s.stats.piggyback_rejected += applied.piggyback_rejected;
+    // A close marker trails every frame of its session, and the session's
+    // frames in this batch are applied by now.
+    for (Item& item : batch) {
+      if (!item.close) {
+        s.buffer_pool.push_back(std::move(item.bytes));
+        continue;
+      }
       const auto it = s.sessions.find(item.session);
       // The closing flag blocks a second close and open_session rejects the
       // id while mapped, so the entry must still be here.
       RDT_ASSERT(it != s.sessions.end());
       s.free_engines.push_back(std::move(it->second.engine));
       s.sessions.erase(it);
-      continue;
     }
-    bool ok = true;
-    bool pb_ok = true;
-    bool pb_present = false;
-    long long pb_bits = 0;
-    try {
-      std::size_t offset = 0;
-      decode_frame(item.bytes, offset, scratch);
-      item.engine->feed(scratch.events);
-      // Control data rides behind the events: decode it through the
-      // session codec so serve traffic exercises the exact path the
-      // replay engine measures. A bad section is counted separately — the
-      // events already applied stand, like a failing feed() batch tail.
-      pb_present = scratch.has_piggyback;
-      if (pb_present)
-        pb_ok = apply_piggyback(*item.codec, scratch, pb_scratch, &pb_bits);
-    } catch (const std::invalid_argument&) {
-      // Envelope checks passed at submit, but the payload (or the stream's
-      // own sequencing rules, enforced by feed) can still be bad. One bad
-      // frame is the client's problem, not the pool's: count and drop it.
-      ok = false;
-    }
-    // Drop the engine reference before parking, so an idle worker never
-    // pins a closed session's engine against the reuse guard.
-    item.engine.reset();
-    item.codec.reset();
-    const MutexLock lock(s.mu);
-    if (ok) {
-      ++s.stats.frames;
-      s.stats.events += static_cast<long long>(scratch.events.size());
-      if (pb_present && pb_ok) {
-        ++s.stats.piggyback_frames;
-        s.stats.piggyback_bits += pb_bits;
-      }
-      if (pb_present && !pb_ok) ++s.stats.piggyback_rejected;
-    } else {
-      ++s.stats.rejected;
-    }
-    s.buffer_pool.push_back(std::move(item.bytes));
+    batch.clear();
   }
 }
 
-bool ServePool::apply_piggyback(SessionCodec& sc, const Frame& frame,
-                                PiggybackScratch& scratch,
-                                long long* bits) const {
-  const PiggybackSection& pb = frame.piggyback;
-  if (pb.num_processes != options_.num_processes) return false;
+void FrameApplier::apply(OnlineEngine& engine, SessionCodec& codec,
+                         std::span<const std::span<const std::uint8_t>> frames,
+                         ShardStats& stats) {
+  std::size_t next = 0;
+  while (next < frames.size()) {
+    // Decode frames into one span until it holds kMaxSpanEvents events.
+    events_.clear();
+    std::size_t count = 0;
+    while (next < frames.size() && events_.size() < kMaxSpanEvents) {
+      if (slots_.size() == count) slots_.emplace_back();
+      Slot& slot = slots_[count++];
+      slot.begin = events_.size();
+      try {
+        std::size_t offset = 0;
+        decode_frame(frames[next++], offset, frame_);
+        events_.insert(events_.end(), frame_.events.begin(), frame_.events.end());
+        slot.ok = true;
+        slot.has_piggyback = frame_.has_piggyback;
+        if (slot.has_piggyback) std::swap(slot.piggyback, frame_.piggyback);
+      } catch (const std::invalid_argument&) {
+        // Envelope checks passed at submit, but the payload can still be
+        // bad. One bad frame is the client's problem, not the pool's.
+        slot.ok = false;
+      }
+      slot.end = events_.size();
+    }
+    feed_span(engine, count, stats);
+    for (std::size_t i = 0; i < count; ++i) {
+      Slot& slot = slots_[i];
+      bool pb_ok = true;
+      long long pb_bits = 0;
+      // Control data rides behind the events: decode it through the
+      // session codec so serve traffic exercises the exact path the replay
+      // engine measures. A bad section is counted separately — the events
+      // already applied stand, like a failing feed() batch tail.
+      if (slot.ok && slot.has_piggyback) {
+        try {
+          pb_ok = apply_piggyback(codec, events_of(slot), slot.piggyback, &pb_bits);
+        } catch (const std::invalid_argument&) {
+          slot.ok = false;  // the codec refused the section's geometry
+        }
+      }
+      if (!slot.ok) {
+        ++stats.rejected;
+        continue;
+      }
+      ++stats.frames;
+      stats.events += static_cast<long long>(slot.end - slot.begin);
+      if (!slot.has_piggyback) continue;
+      if (pb_ok) {
+        ++stats.piggyback_frames;
+        stats.piggyback_bits += pb_bits;
+      } else {
+        ++stats.piggyback_rejected;
+      }
+    }
+  }
+}
+
+void FrameApplier::feed_span(OnlineEngine& engine, std::size_t count,
+                             ShardStats& stats) {
+  std::size_t start = 0;  // first event not yet fed
+  std::size_t slot = 0;   // first slot that may hold a fault
+  while (start < events_.size()) {
+    const long long before = engine.events_consumed();
+    ++stats.feeds;
+    try {
+      engine.feed(std::span<const StreamEvent>(events_).subspan(start));
+      return;
+    } catch (const std::invalid_argument&) {
+      // The stream's own sequencing rules, enforced by feed, can still be
+      // broken. feed applied exactly the events before the fault; reject
+      // the frame holding it and resume at the next frame.
+      const std::size_t fault = start + static_cast<std::size_t>(engine.events_consumed() - before);
+      while (slots_[slot].end <= fault) ++slot;
+      RDT_ASSERT(slot < count && slots_[slot].ok);
+      slots_[slot].ok = false;
+      start = slots_[slot].end;
+    }
+  }
+}
+
+bool FrameApplier::apply_piggyback(SessionCodec& sc,
+                                   std::span<const StreamEvent> events,
+                                   const PiggybackSection& pb,
+                                   long long* bits) {
+  if (pb.num_processes != num_processes_) return false;
   if (sc.num_processes == 0) {
     const ProtocolInfo& info = ProtocolRegistry::instance().info(pb.protocol);
     sc.codec.reset(pb.codec, pb.num_processes, info.shape);
@@ -247,28 +335,26 @@ bool ServePool::apply_piggyback(SessionCodec& sc, const Frame& frame,
   }
   const auto n = static_cast<std::size_t>(sc.num_processes);
   const std::size_t row_words = bitdetail::words_for(n);
-  if (sc.shape.tdv && scratch.tdv.size() < n) scratch.tdv.resize(n);
-  if (sc.shape.simple && scratch.simple.size() < row_words)
-    scratch.simple.resize(row_words);
-  if (sc.shape.causal && scratch.causal.size() < n * row_words)
-    scratch.causal.resize(n * row_words);
+  if (sc.shape.tdv && tdv_.size() < n) tdv_.resize(n);
+  if (sc.shape.simple && simple_.size() < row_words) simple_.resize(row_words);
+  if (sc.shape.causal && causal_.size() < n * row_words) causal_.resize(n * row_words);
+  const std::size_t max_blob = sc.codec.max_encoded_bytes();
   std::size_t start = 0;
   std::size_t blob = 0;
-  for (const StreamEvent& e : frame.events) {
+  for (const StreamEvent& e : events) {
     if (e.kind != EventKind::kSend) continue;
     const std::uint32_t len = pb.sizes[blob++];
-    if (e.p >= sc.num_processes || e.q >= sc.num_processes) {
+    if (e.p >= sc.num_processes || e.q >= sc.num_processes || len > max_blob) {
       sc.num_processes = 0;
       return false;
     }
     PiggybackSlot slot;
-    if (sc.shape.tdv) slot.tdv = {scratch.tdv.data(), n};
-    if (sc.shape.simple) slot.simple = {scratch.simple.data(), n};
-    if (sc.shape.causal) slot.causal = {scratch.causal.data(), n, n};
-    if (sc.shape.index) slot.index = &scratch.index;
+    if (sc.shape.tdv) slot.tdv = {tdv_.data(), n};
+    if (sc.shape.simple) slot.simple = {simple_.data(), n};
+    if (sc.shape.causal) slot.causal = {causal_.data(), n, n};
+    if (sc.shape.index) slot.index = &index_;
     std::size_t offset = 0;
-    const std::span<const std::uint8_t> blob_bytes{pb.bytes.data() + start,
-                                                   len};
+    const std::span<const std::uint8_t> blob_bytes{pb.bytes.data() + start, len};
     try {
       sc.codec.decode(e.p, e.q, blob_bytes, offset, slot);
     } catch (const std::invalid_argument&) {
@@ -340,6 +426,7 @@ void ServePool::flush_metrics() const {
     const std::string prefix = "serve.shard" + std::to_string(i) + ".";
     m.add(m.counter(prefix + "frames"), s.frames);
     m.add(m.counter(prefix + "events"), s.events);
+    m.add(m.counter(prefix + "feeds"), s.feeds);
     m.add(m.counter(prefix + "rejected"), s.rejected);
     m.add(m.counter(prefix + "piggyback.frames"), s.piggyback_frames);
     m.add(m.counter(prefix + "piggyback.bits"), s.piggyback_bits);

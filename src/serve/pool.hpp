@@ -24,10 +24,24 @@
 // drain() blocks until every shard's queue is empty and its worker idle —
 // the pool-wide "all submitted work applied" barrier.
 //
+// The worker drains in batches. Under one lock it takes up to half the
+// ring (max(1, queue_frames / 2) items) and wakes blocked producers once;
+// the producers refill the other half while the batch applies. Taking the
+// whole ring would leave a producer blocked on this shard while another
+// shard's worker runs dry. The batch is grouped by session (ties keep
+// submission order) and each session's frames are decoded into one span
+// and fed with one engine feed() — FrameApplier below — so the engine
+// commits once per session per batch, not once per frame. A second lock
+// folds the batch's counters, retires closed sessions and recycles the
+// frame buffers. Readers still only ever observe frame-boundary commit states
+// (docs/online.md, prefix semantics): a coalesced feed commits at the end
+// of a later frame, so a reader sees a subset of the states it could see
+// when every frame was fed on its own.
+//
 // Steady-state serving does not allocate per event: frame byte buffers are
-// recycled through a per-shard pool, the worker decodes into one reused
-// Frame, feed() reuses the engine's internal pools, and a reopened session
-// reuses a reset engine's arenas.
+// recycled through a per-shard pool, the worker's batch and decode scratch
+// is grow-only and bounded by the ring, feed() reuses the engine's internal
+// pools, and a reopened session reuses a reset engine's arenas.
 //
 // Thread-safety contract (TSA-annotated, lint-enforced):
 //   * every shard field is guarded by that shard's mu; cross-shard state is
@@ -44,6 +58,8 @@
 // dropped at decode time and counted in ShardStats::rejected — one bad
 // client must not take down the pool. The events of a rejected frame that
 // preceded the fault are applied, exactly like a failing feed() batch.
+// Coalescing leaves this contract as it was with one feed() per frame: the
+// other frames of the span apply as if fed one at a time.
 #pragma once
 
 #include <condition_variable>
@@ -73,14 +89,16 @@ struct PoolOptions {
 };
 
 // Per-shard counters, read via shard_stats() or flushed to the obs registry
-// by flush_metrics(). Average batch size is events / frames; events per
-// second is events over the caller's wall clock (bench/bench_serve.cpp).
+// by flush_metrics(). Average frame size is events / frames and the average
+// coalesced span events / feeds; events per second is events over the
+// caller's wall clock (bench/bench_serve.cpp).
 // The retention fields are point-in-time samples over the shard's *open*
 // sessions (engines on the free list are excluded): cumulative compaction /
 // eviction counters plus the summed resident-bytes accounting.
 struct ShardStats {
   long long frames = 0;            // frames fed into engines
   long long events = 0;            // events those frames carried
+  long long feeds = 0;             // engine feed() calls (coalesced spans)
   long long rejected = 0;          // frames dropped for a malformed payload
   long long piggyback_frames = 0;  // frames whose piggyback section decoded
   long long piggyback_bits = 0;    // wire bits those sections carried
@@ -91,6 +109,85 @@ struct ShardStats {
   long long compactions = 0;           // across open sessions (cumulative)
   long long evicted_checkpoints = 0;   // across open sessions (cumulative)
   std::size_t resident_bytes = 0;      // summed engine accounting, sampled
+};
+
+// Per-session piggyback decoder. Only the shard worker touches the
+// contents (one worker per shard, a session's frames applied in submission
+// order); client threads merely create and drop the shared_ptr.
+// num_processes == 0 means "not yet configured" — the first piggyback frame
+// fixes the (protocol, codec) pair for the session's lifetime, since the
+// delta codec's channel shadows are stateful across frames.
+struct SessionCodec {
+  PiggybackCodec codec;
+  ProtocolKind protocol = ProtocolKind::kNoForce;
+  PiggybackCodecKind kind = PiggybackCodecKind::kFlat;
+  PayloadShape shape;
+  int num_processes = 0;
+};
+
+// The shard worker's apply step for one session's queued frames, callable
+// without a worker thread. Its scratch is grow-only, so the steady state
+// allocates nothing; one applier serves every session of a shard.
+class FrameApplier {
+ public:
+  explicit FrameApplier(int num_processes) : num_processes_(num_processes) {}
+
+  // Applies `frames` — encoded frames of ONE session, in submission order —
+  // to `engine` and `codec`, adding to the worker counters of `stats`
+  // (frames, events, feeds, rejected, piggyback_*). The frames' events are
+  // decoded into one span and fed with one feed() call, yet every outcome
+  // equals applying the frames one at a time:
+  //   * a frame that fails decode_frame is rejected and contributes no
+  //     events;
+  //   * a frame whose events the engine refuses is rejected, the events
+  //     before the fault stay applied, and feeding resumes at the next
+  //     frame (the fault is located by the events_consumed() delta);
+  //   * piggyback sections decode in frame order, and only for frames
+  //     whose events all applied; a section the codec cannot be set up
+  //     for (PiggybackCodec::reset throws) rejects its frame.
+  // Only the engine's retention cadence sees the difference: it runs at
+  // feed() commits, so a compaction may land at a later frame boundary.
+  void apply(OnlineEngine& engine, SessionCodec& codec,
+             std::span<const std::span<const std::uint8_t>> frames,
+             ShardStats& stats);
+
+  // A span is fed once it holds this many events: caps the scratch for
+  // sessions that queue many large frames.
+  static constexpr std::size_t kMaxSpanEvents = std::size_t{1} << 16;
+
+ private:
+  // One frame of the current span: its events are events_[begin, end).
+  struct Slot {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool ok = false;  // decoded, and every event applied
+    bool has_piggyback = false;
+    PiggybackSection piggyback;  // swapped out of frame_, buffers recycle
+  };
+
+  std::span<const StreamEvent> events_of(const Slot& slot) const {
+    return {events_.data() + slot.begin, slot.end - slot.begin};
+  }
+  // Feeds events_ of the first `count` slots, rejecting each frame whose
+  // events the engine refuses.
+  void feed_span(OnlineEngine& engine, std::size_t count, ShardStats& stats);
+  // Decodes one frame's piggyback section through the session codec into
+  // the scratch planes. Returns false (and leaves the codec unconfigured,
+  // so a later frame can start over) when the section's ids disagree with
+  // the pool, a blob exceeds the codec's max_encoded_bytes(), or the bytes
+  // are malformed; `bits` accumulates the wire bits of a successful decode.
+  bool apply_piggyback(SessionCodec& sc, std::span<const StreamEvent> events,
+                       const PiggybackSection& pb, long long* bits);
+
+  int num_processes_;
+  Frame frame_;
+  std::vector<StreamEvent> events_;
+  std::vector<Slot> slots_;
+  // Planes the piggyback decoder fills.
+  std::vector<CkptIndex> tdv_;
+  std::vector<std::uint64_t> simple_;
+  std::vector<std::uint64_t> causal_;
+  CkptIndex index_ = 0;
 };
 
 class ServePool {
@@ -142,20 +239,6 @@ class ServePool {
   // One queue slot: an encoded frame, or a close marker (empty bytes).
   // The engine pointer is resolved at submit time so the worker feeds
   // without a second session-map lookup.
-  // Per-session piggyback decoder. Only the shard worker touches the
-  // contents (one worker per shard, items applied in submission order);
-  // client threads merely create and drop the shared_ptr. num_processes
-  // == 0 means "not yet configured" — the first piggyback frame fixes the
-  // (protocol, codec) pair for the session's lifetime, since the delta
-  // codec's channel shadows are stateful across frames.
-  struct SessionCodec {
-    PiggybackCodec codec;
-    ProtocolKind protocol = ProtocolKind::kNoForce;
-    PiggybackCodecKind kind = PiggybackCodecKind::kFlat;
-    PayloadShape shape;
-    int num_processes = 0;
-  };
-
   struct Item {
     std::vector<std::uint8_t> bytes;
     SessionId session = 0;
@@ -176,12 +259,12 @@ class ServePool {
     // directly on the AnnotatedMutex, keeping the capability visible to
     // TSA at every guarded access).
     std::condition_variable_any nonempty;  // queue gained an item
-    std::condition_variable_any space;     // queue lost an item
+    std::condition_variable_any space;     // queue lost items
     std::condition_variable_any idle;      // queue empty and worker idle
     std::vector<Item> ring RDT_GUARDED_BY(mu);  // fixed-capacity FIFO
     std::size_t head RDT_GUARDED_BY(mu) = 0;
     std::size_t count RDT_GUARDED_BY(mu) = 0;
-    bool busy RDT_GUARDED_BY(mu) = false;  // worker applying an item
+    bool busy RDT_GUARDED_BY(mu) = false;  // worker applying a batch
     bool stopping RDT_GUARDED_BY(mu) = false;
     std::unordered_map<SessionId, Session> sessions RDT_GUARDED_BY(mu);
     std::vector<std::shared_ptr<OnlineEngine>> free_engines
@@ -191,26 +274,10 @@ class ServePool {
     std::thread worker;  // started last in the constructor, joined first
   };
 
-  // Worker-local scratch planes the piggyback decoder fills; grow-only so
-  // the steady state stays allocation-free.
-  struct PiggybackScratch {
-    std::vector<CkptIndex> tdv;
-    std::vector<std::uint64_t> simple;
-    std::vector<std::uint64_t> causal;
-    CkptIndex index = 0;
-  };
-
   Shard& shard_for(SessionId id) const { return *shards_[static_cast<std::size_t>(shard_of(id))]; }
   std::shared_ptr<OnlineEngine> engine_of(SessionId id) const;
   void push_item(Shard& shard, Item item) RDT_REQUIRES(shard.mu);
   void worker_loop(Shard& shard);
-  // Decodes `frame`'s piggyback section through the session codec into the
-  // scratch planes. Returns false (and leaves the codec unconfigured, so a
-  // later frame can start over) when the section's ids disagree with the
-  // pool or the bytes are malformed; `bits` accumulates the wire bits of
-  // a successful decode.
-  bool apply_piggyback(SessionCodec& sc, const Frame& frame,
-                       PiggybackScratch& scratch, long long* bits) const;
 
   const PoolOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
