@@ -1,61 +1,64 @@
-// Shared plumbing for the experiment binaries: the protocol set the papers'
-// simulation study compares, the standard environment presets, command-line
-// parsing (parse_bench_args — every binary understands --seeds/--threads/
-// --json/--trace the same way), header banners, a formatter for mean ± 95%
-// confidence cells, and a machine-readable benchmark report (--json) with an
-// optional chrome://tracing span capture (--trace).
+// Shared plumbing for rdt-bench and the standalone bench binaries: the
+// protocol set the papers' simulation study compares, the standard
+// environment presets, command-line parsing for the standalone binaries
+// (BenchArgs — each understands --seeds/--threads/--json/--trace the same
+// way), header banners, a formatter for mean ± 95% confidence cells,
+// and a machine-readable benchmark report (--json) with an optional
+// chrome://tracing span capture (--trace).
 #pragma once
 
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "obs/session.hpp"
+#include "online/engine.hpp"
 #include "protocols/registry.hpp"
 #include "sim/environments.hpp"
+#include "sim/replay.hpp"
 #include "sim/runner.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace rdt::bench {
 
 // ---------------------------------------------------------------------------
-// Command line. Every experiment binary accepts the same core flags —
+// Command line of the standalone binaries (rdt-bench validates its own, per
+// experiment). Each accepts the same core flags —
 //   --seeds N     sweep width (each binary picks its own default)
 //   --threads N   worker threads (defaults to the hardware concurrency)
 //   --json PATH   write the rdt-bench-v2 report
 //   --trace PATH  capture an observability session, write a chrome trace
-// — plus whatever experiment-specific flags it reads via flag_or()/has().
+// — plus whatever experiment-specific flags it reads via flag_or().
 // ---------------------------------------------------------------------------
+
+// All available cores: the default worker count. A sweep's results do not
+// depend on it (seeds are folded in seed order either way).
+inline int hardware_threads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
 
 class BenchArgs {
  public:
   BenchArgs(int argc, char** argv) : argc_(argc), argv_(argv) {}
 
-  bool has(const std::string& flag) const {
-    for (int i = 1; i < argc_; ++i)
-      if (argv_[i] == flag) return true;
-    return false;
-  }
   int flag_or(const std::string& flag, int fallback) const {
     const char* v = value_of(flag);
     return v != nullptr ? std::atoi(v) : fallback;
-  }
-  double flag_or(const std::string& flag, double fallback) const {
-    const char* v = value_of(flag);
-    return v != nullptr ? std::atof(v) : fallback;
   }
   std::string flag_or(const std::string& flag, std::string fallback) const {
     const char* v = value_of(flag);
@@ -63,11 +66,7 @@ class BenchArgs {
   }
 
   int seeds(int fallback) const { return flag_or("--seeds", fallback); }
-  int threads() const {
-    return flag_or(
-        "--threads",
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
-  }
+  int threads() const { return flag_or("--threads", hardware_threads()); }
   std::string json_path() const { return flag_or("--json", std::string()); }
   std::string trace_path() const { return flag_or("--trace", std::string()); }
 
@@ -81,10 +80,6 @@ class BenchArgs {
   int argc_;
   char** argv_;
 };
-
-inline BenchArgs parse_bench_args(int argc, char** argv) {
-  return {argc, argv};
-}
 
 // ---------------------------------------------------------------------------
 // Standard environments. The study's canonical operating points (duration
@@ -120,6 +115,17 @@ inline ClientServerEnvConfig client_server_env_preset() {
   return cfg;
 }
 
+// A seed-to-trace generator for one environment configuration.
+template <class Config>
+std::function<Trace(std::uint64_t)> seeded(Config config,
+                                           Trace (*generate)(const Config&)) {
+  return [config = std::move(config), generate](std::uint64_t seed) {
+    Config c = config;
+    c.seed = seed;
+    return generate(c);
+  };
+}
+
 // The three presets as named seed-to-trace generators, for binaries that
 // iterate over all environment families.
 struct EnvPreset {
@@ -129,36 +135,35 @@ struct EnvPreset {
 
 inline const std::vector<EnvPreset>& env_presets() {
   static const std::vector<EnvPreset> presets = {
-      {"random",
-       [](std::uint64_t seed) {
-         RandomEnvConfig cfg = random_env_preset();
-         cfg.seed = seed;
-         return random_environment(cfg);
-       }},
-      {"group",
-       [](std::uint64_t seed) {
-         GroupEnvConfig cfg = group_env_preset();
-         cfg.seed = seed;
-         return group_environment(cfg);
-       }},
-      {"client_server", [](std::uint64_t seed) {
-         ClientServerEnvConfig cfg = client_server_env_preset();
-         cfg.seed = seed;
-         return client_server_environment(cfg);
-       }}};
+      {"random", seeded(random_env_preset(), random_environment)},
+      {"group", seeded(group_env_preset(), group_environment)},
+      {"client_server",
+       seeded(client_server_env_preset(), client_server_environment)}};
   return presets;
 }
 
-// sweep_parallel across all available cores; results are identical to the
-// serial sweep (seeds are folded in seed order either way).
-inline std::vector<ProtocolStats> parallel_sweep(
-    const std::function<Trace(std::uint64_t)>& generate,
-    std::span<const ProtocolKind> kinds, int num_seeds,
-    std::uint64_t seed0 = 1) {
-  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
-  return sweep_parallel(generate, kinds, num_seeds, static_cast<int>(threads),
-                        seed0);
+// A BHMR replay's pattern events as a feedable event list: the online
+// engine's input, decoupled from the replay so a timed loop is pure engine
+// cost.
+inline std::vector<StreamEvent> record_stream(const Trace& trace) {
+  class Recorder final : public PatternListener {
+   public:
+    void on_send(MsgId m, ProcessId sender, ProcessId receiver) override {
+      ops.push_back(StreamEvent::send(m, sender, receiver));
+    }
+    void on_deliver(MsgId m, ProcessId sender, ProcessId receiver) override {
+      ops.push_back(StreamEvent::deliver(m, sender, receiver));
+    }
+    void on_internal(ProcessId p) override { ops.push_back(StreamEvent::internal(p)); }
+    void on_checkpoint(ProcessId p, CkptIndex index) override {
+      ops.push_back(StreamEvent::checkpoint(p, index));
+    }
+    std::vector<StreamEvent> ops;
+  } recorder;
+  replay(trace, ProtocolKind::kBhmr, {.online = &recorder});
+  return std::move(recorder.ops);
 }
+
 
 // The dependency-tracking protocols the study sweeps (baseline first). CBR
 // is included as the classic upper bound; NRAS as the piggyback-free one;
@@ -172,6 +177,14 @@ inline const std::vector<ProtocolKind>& study_protocols() {
   return kinds;
 }
 
+// A protocol's table column heading ("BHMR-V2", "ADAPT").
+inline std::string column_name(ProtocolKind kind) {
+  if (kind == ProtocolKind::kAdaptive) return "ADAPT";
+  std::string name = to_string(kind);
+  for (char& c : name) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  return name;
+}
+
 inline std::string pm(const Summary& s, int precision = 3) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << s.mean << " ±"
@@ -179,103 +192,23 @@ inline std::string pm(const Summary& s, int precision = 3) {
   return os.str();
 }
 
-inline void banner(const std::string& experiment, const std::string& what) {
-  std::cout << "==================================================================\n"
-            << experiment << " — " << what << '\n'
-            << "metric R = forced checkpoints / basic checkpoints "
-               "(lower is better)\n"
-            << "==================================================================\n";
+// A header box: the given lines between two rules.
+inline void banner(std::initializer_list<std::string_view> lines) {
+  const std::string_view rule =
+      "==================================================================\n";
+  std::cout << rule;
+  for (const std::string_view line : lines) std::cout << line << '\n';
+  std::cout << rule;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON emitter (no third-party dependency). Objects preserve
-// insertion order so reports diff cleanly run to run.
-// ---------------------------------------------------------------------------
+// The header of an experiment that reports R: "<experiment> — <what>".
+inline void banner(const std::string& experiment, const std::string& what) {
+  banner({experiment + " — " + what,
+          "metric R = forced checkpoints / basic checkpoints (lower is better)"});
+}
 
-class JsonValue;
-using JsonMember = std::pair<std::string, JsonValue>;
-using JsonObject = std::vector<JsonMember>;
-using JsonArray = std::vector<JsonValue>;
-
-class JsonValue {
- public:
-  JsonValue() : v_(nullptr) {}
-  JsonValue(std::nullptr_t) : v_(nullptr) {}            // NOLINT(*-explicit-*)
-  JsonValue(bool b) : v_(b) {}                          // NOLINT(*-explicit-*)
-  JsonValue(double d) : v_(d) {}                        // NOLINT(*-explicit-*)
-  JsonValue(int i) : v_(static_cast<long long>(i)) {}   // NOLINT(*-explicit-*)
-  JsonValue(long long i) : v_(i) {}                     // NOLINT(*-explicit-*)
-  JsonValue(unsigned long long u) : v_(u) {}            // NOLINT(*-explicit-*)
-  JsonValue(const char* s) : v_(std::string(s)) {}      // NOLINT(*-explicit-*)
-  JsonValue(std::string s) : v_(std::move(s)) {}        // NOLINT(*-explicit-*)
-  JsonValue(JsonObject o) : v_(std::move(o)) {}         // NOLINT(*-explicit-*)
-  JsonValue(JsonArray a) : v_(std::move(a)) {}          // NOLINT(*-explicit-*)
-
-  void dump(std::ostream& os) const {
-    std::visit([&os](const auto& x) { dump_one(os, x); }, v_);
-  }
-
- private:
-  static void dump_one(std::ostream& os, std::nullptr_t) { os << "null"; }
-  static void dump_one(std::ostream& os, bool b) {
-    os << (b ? "true" : "false");
-  }
-  static void dump_one(std::ostream& os, double d) {
-    if (!std::isfinite(d)) {  // JSON has no nan/inf
-      os << "null";
-      return;
-    }
-    std::ostringstream tmp;
-    tmp << std::setprecision(std::numeric_limits<double>::max_digits10) << d;
-    os << tmp.str();
-  }
-  static void dump_one(std::ostream& os, long long i) { os << i; }
-  static void dump_one(std::ostream& os, unsigned long long u) { os << u; }
-  static void dump_one(std::ostream& os, const std::string& s) {
-    os << '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-               << static_cast<int>(c) << std::dec << std::setfill(' ');
-          } else {
-            os << c;
-          }
-      }
-    }
-    os << '"';
-  }
-  static void dump_one(std::ostream& os, const JsonObject& o) {
-    os << '{';
-    for (std::size_t i = 0; i < o.size(); ++i) {
-      if (i > 0) os << ',';
-      dump_one(os, o[i].first);
-      os << ':';
-      o[i].second.dump(os);
-    }
-    os << '}';
-  }
-  static void dump_one(std::ostream& os, const JsonArray& a) {
-    os << '[';
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (i > 0) os << ',';
-      a[i].dump(os);
-    }
-    os << ']';
-  }
-
-  std::variant<std::nullptr_t, bool, double, long long, unsigned long long,
-               std::string, JsonObject, JsonArray>
-      v_;
-};
-
-inline JsonValue to_json(const Summary& s) {
-  return JsonObject{{"count", static_cast<long long>(s.count)},
+inline json::Value to_json(const Summary& s) {
+  return json::Object{{"count", static_cast<long long>(s.count)},
                     {"mean", s.mean},
                     {"stddev", s.stddev},
                     {"ci95", s.ci95},
@@ -283,11 +216,11 @@ inline JsonValue to_json(const Summary& s) {
                     {"max", s.max}};
 }
 
-inline JsonValue to_json(const ProtocolStats& s) {
+inline json::Value to_json(const ProtocolStats& s) {
   // wire_bits_per_message is measured through the protocol's declared
   // codec; flat_bits_per_message keeps the analytic flat-plane figure as
   // the labeled comparison column (the pre-codec reports' constant).
-  return JsonObject{{"protocol", to_string(s.kind)},
+  return json::Object{{"protocol", to_string(s.kind)},
                     {"codec",
                      to_cstring(ProtocolRegistry::instance().info(s.kind).codec)},
                     {"r_forced_per_basic", to_json(s.r_forced_per_basic)},
@@ -306,25 +239,25 @@ inline JsonValue to_json(const ProtocolStats& s) {
 //   { "schema": "rdt-bench-v2", "experiment": ..., "wall_seconds": ...,
 //     "sections": [ { "name": ..., "params": {...},
 //                     "protocols": [...] | "metrics": {...} } ] }
-// Construct it first thing in main() with the parsed BenchArgs (or argc/
-// argv); it consumes `--json <path>` and `--trace <path>`. Without --json
-// the report methods are no-ops, so the human-readable tables stay the
-// default output. With --trace, an observability session spans the whole
-// run: the instrumented layers (replay, sweep scheduler, DES) record spans
-// and counters into it, finish() writes the chrome://tracing JSON to the
-// given path, and the counter/histogram totals also land in the --json
-// report as an "observability" section. The fine-grained hooks are compiled
-// in only under -DRDT_OBS=ON; a default build warns and produces an empty
-// capture. finish() (or the destructor) stamps the wall time and writes the
-// files.
+// Construct it before the run starts with the --json and --trace paths
+// (empty = not requested). Without a --json path the report methods are
+// no-ops, so the human-readable tables stay the default output. With
+// --trace, an observability session spans the whole run: the instrumented
+// layers (replay, sweep scheduler, DES) record spans and counters into it,
+// finish() writes the chrome://tracing JSON to the given path, and the
+// counter/histogram totals also land in the --json report as an
+// "observability" section. The fine-grained hooks are compiled in only
+// under -DRDT_OBS=ON; a default build warns and produces an empty capture.
+// finish() (or the destructor) stamps the wall time and writes the files.
 // ---------------------------------------------------------------------------
 
 class BenchReport {
  public:
-  BenchReport(std::string experiment, const BenchArgs& args)
+  BenchReport(std::string experiment, std::string json_path,
+              std::string trace_path)
       : experiment_(std::move(experiment)),
-        path_(args.json_path()),
-        trace_path_(args.trace_path()),
+        path_(std::move(json_path)),
+        trace_path_(std::move(trace_path)),
         start_(Clock::now()) {
     if (trace_path_.empty()) return;
     if (!obs::kObsEnabled)
@@ -333,35 +266,30 @@ class BenchReport {
                    "capture\n";
     session_ = std::make_unique<obs::ObsSession>();
   }
-  BenchReport(std::string experiment, int argc, char** argv)
-      : BenchReport(std::move(experiment), BenchArgs(argc, argv)) {}
   BenchReport(const BenchReport&) = delete;
   BenchReport& operator=(const BenchReport&) = delete;
   ~BenchReport() { finish(); }
 
   bool enabled() const { return !path_.empty(); }
 
-  // The active observability session, when --trace was given.
-  obs::ObsSession* session() const { return session_.get(); }
-
   // Record one sweep's aggregated per-protocol statistics under `section`
   // with the sweep's identifying parameters (environment knobs, seed count).
-  void add_sweep(const std::string& section, JsonObject params,
+  void add_sweep(const std::string& section, json::Object params,
                  std::span<const ProtocolStats> stats) {
     if (!enabled()) return;
-    JsonArray protocols;
+    json::Array protocols;
     protocols.reserve(stats.size());
     for (const ProtocolStats& s : stats) protocols.push_back(to_json(s));
-    sections_.push_back(JsonObject{{"name", section},
-                                   {"params", std::move(params)},
-                                   {"protocols", std::move(protocols)}});
+    sections_.push_back(json::Object{{"name", section},
+                                     {"params", std::move(params)},
+                                     {"protocols", std::move(protocols)}});
   }
 
   // Record free-form metrics (e.g. wall-clock comparisons) under `section`.
-  void add_metrics(const std::string& section, JsonValue metrics) {
+  void add_metrics(const std::string& section, json::Value metrics) {
     if (!enabled()) return;
     sections_.push_back(
-        JsonObject{{"name", section}, {"metrics", std::move(metrics)}});
+        json::Object{{"name", section}, {"metrics", std::move(metrics)}});
   }
 
   // Write the report (and the chrome trace, when --trace was given).
@@ -373,10 +301,10 @@ class BenchReport {
     if (!enabled()) return;
     const double wall =
         std::chrono::duration<double>(Clock::now() - start_).count();
-    const JsonValue root = JsonObject{{"schema", "rdt-bench-v2"},
-                                      {"experiment", experiment_},
-                                      {"wall_seconds", wall},
-                                      {"sections", std::move(sections_)}};
+    const json::Value root = json::Object{{"schema", "rdt-bench-v2"},
+                                          {"experiment", experiment_},
+                                          {"wall_seconds", wall},
+                                          {"sections", std::move(sections_)}};
     std::ofstream out(path_);
     if (!out) {
       std::cerr << "bench: cannot write JSON report to " << path_ << '\n';
@@ -397,35 +325,12 @@ class BenchReport {
   void export_trace() {
     if (session_ == nullptr) return;
     session_->deactivate();
-    const obs::MetricsSnapshot snap = session_->metrics().snapshot();
-    if (enabled()) {
-      JsonObject counters;
-      counters.reserve(snap.counters.size());
-      for (const auto& [name, total] : snap.counters)
-        counters.emplace_back(name, total);
-      JsonObject histograms;
-      histograms.reserve(snap.histograms.size());
-      for (const obs::HistogramSnapshot& h : snap.histograms) {
-        JsonArray bounds(h.bounds.begin(), h.bounds.end());
-        JsonArray counts(h.counts.begin(), h.counts.end());
-        histograms.emplace_back(h.name,
-                                JsonObject{{"bounds", std::move(bounds)},
-                                           {"counts", std::move(counts)},
-                                           {"count", h.count},
-                                           {"sum", h.sum},
-                                           {"min", h.min},
-                                           {"max", h.max}});
-      }
-      sections_.push_back(JsonObject{
-          {"name", "observability"},
-          {"metrics",
-           JsonObject{
-               {"hooks_compiled_in", obs::kObsEnabled},
-               {"trace_path", trace_path_},
-               {"trace_events", static_cast<long long>(session_->trace().size())},
-               {"counters", std::move(counters)},
-               {"histograms", std::move(histograms)}}}});
-    }
+    json::Object metrics{{"hooks_compiled_in", obs::kObsEnabled},
+                         {"trace_path", trace_path_},
+                         {"trace_events", session_->trace().size()}};
+    for (json::Member& m : obs::to_json(session_->metrics().snapshot()))
+      metrics.push_back(std::move(m));
+    add_metrics("observability", std::move(metrics));
     std::ofstream out(trace_path_);
     if (!out) {
       std::cerr << "bench: cannot write trace to " << trace_path_ << '\n';
@@ -441,7 +346,7 @@ class BenchReport {
   std::string trace_path_;
   std::unique_ptr<obs::ObsSession> session_;
   Clock::time_point start_;
-  JsonArray sections_;
+  json::Array sections_;
   bool finished_ = false;
 };
 

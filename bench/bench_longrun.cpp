@@ -227,7 +227,7 @@ EqResult run_equivalence(int procs, int ckpt_every, int inflight,
   EqResult r;
   r.events = events;
   OnlineEngine compacted(EngineOptions{procs, policy});
-  OnlineEngine keepall(procs);
+  OnlineEngine keepall(EngineOptions{procs});
   LongrunGen gen(procs, ckpt_every, inflight, seed);
   std::vector<StreamEvent> buf;
   long long fed = 0;
@@ -319,8 +319,8 @@ EqResult run_equivalence(int procs, int ckpt_every, int inflight,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_bench_args(argc, argv);
-  BenchReport report("longrun", args);
+  const BenchArgs args(argc, argv);
+  BenchReport report("longrun", args.json_path(), args.trace_path());
   const long long events =
       std::max(10LL, static_cast<long long>(args.flag_or("--events", 8000000)));
   const int procs = std::max(2, args.flag_or("--procs", 8));
@@ -386,25 +386,23 @@ int main(int argc, char** argv) {
             << ", evicted messages: " << soak.retention.evicted_messages
             << '\n';
 
-  // emplace_back builds each JsonValue in place: push_back of a temporary
+  // emplace_back builds each json::Value in place: push_back of a temporary
   // moves its std::variant, which GCC 12 reports as maybe-uninitialized.
-  JsonArray rss_deciles, resident_deciles, rate_deciles, compaction_deciles;
+  json::Array rss_deciles, resident_deciles, rate_deciles, compaction_deciles;
   for (std::size_t d = 0; d < kDeciles; ++d) {
-    rss_deciles.emplace_back(
-        static_cast<long long>(soak.deciles[d].rss_kb));
-    resident_deciles.emplace_back(
-        static_cast<unsigned long long>(soak.deciles[d].retention.resident_bytes));
+    rss_deciles.emplace_back(soak.deciles[d].rss_kb);
+    resident_deciles.emplace_back(soak.deciles[d].retention.resident_bytes);
     rate_deciles.emplace_back(decile_rate(soak, d));
     compaction_deciles.emplace_back(soak.deciles[d].retention.compactions);
   }
   report.add_metrics(
       "retention_on",
-      JsonObject{
+      json::Object{
           {"events", soak.events},
           {"processes", procs},
-          {"batch_size", static_cast<long long>(batch)},
-          {"ckpt_every_global_events", static_cast<long long>(ckpt_every)},
-          {"inflight_cap", static_cast<long long>(inflight)},
+          {"batch_size", batch},
+          {"ckpt_every_global_events", ckpt_every},
+          {"inflight_cap", inflight},
           {"compact_every_events", compact_every},
           {"wall_seconds", soak.wall},
           {"events_per_sec", rate},
@@ -414,9 +412,8 @@ int main(int argc, char** argv) {
           {"compactions_deciles", std::move(compaction_deciles)},
           {"rss_flatness_last_over_warm", rss_flatness},
           {"resident_flatness_last_over_warm", res_flatness},
-          {"final_rss_kb", static_cast<long long>(soak.final_rss_kb)},
-          {"final_resident_bytes",
-           static_cast<unsigned long long>(soak.retention.resident_bytes)},
+          {"final_rss_kb", soak.final_rss_kb},
+          {"final_resident_bytes", soak.retention.resident_bytes},
           {"compactions", soak.retention.compactions},
           {"evicted_checkpoints", soak.retention.evicted_checkpoints},
           {"evicted_edges", soak.retention.evicted_edges},
@@ -448,25 +445,21 @@ int main(int argc, char** argv) {
             << " MB (" << resident_ratio << "x; gate: >= 2x)\n";
 
   report.add_metrics("equivalence",
-                     JsonObject{{"events", eq.events},
-                                {"checks", eq.checks},
-                                {"mismatches", eq.mismatches},
-                                {"ok_pairs", eq.ok_pairs},
-                                {"compactions", eq.compactions},
-                                {"matches", eq.matches()}});
+                     json::Object{{"events", eq.events},
+                                  {"checks", eq.checks},
+                                  {"mismatches", eq.mismatches},
+                                  {"ok_pairs", eq.ok_pairs},
+                                  {"compactions", eq.compactions},
+                                  {"matches", eq.matches()}});
 
-  JsonArray keepall_curve;
-  for (const std::size_t b : eq.keepall_curve)
-    keepall_curve.emplace_back(static_cast<unsigned long long>(b));
+  json::Array keepall_curve(eq.keepall_curve.begin(), eq.keepall_curve.end());
   report.add_metrics(
       "retention_off",
-      JsonObject{
+      json::Object{
           {"events", eq.events},
           {"keepall_resident_bytes_deciles", std::move(keepall_curve)},
-          {"keepall_final_resident_bytes",
-           static_cast<unsigned long long>(eq.keepall_resident)},
-          {"retention_final_resident_bytes",
-           static_cast<unsigned long long>(eq.retention_resident)},
+          {"keepall_final_resident_bytes", eq.keepall_resident},
+          {"retention_final_resident_bytes", eq.retention_resident},
           {"resident_ratio_keepall_over_retention", resident_ratio}});
   report.finish();
 

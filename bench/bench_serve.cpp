@@ -44,39 +44,17 @@ namespace {
 using namespace rdt;
 using namespace rdt::bench;
 
-// Captures a replay's builder stream as a feedable event list.
-class Recorder final : public PatternListener {
- public:
-  void on_send(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::send(m, sender, receiver));
-  }
-  void on_deliver(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::deliver(m, sender, receiver));
-  }
-  void on_internal(ProcessId p) override {
-    ops.push_back(StreamEvent::internal(p));
-  }
-  void on_checkpoint(ProcessId p, CkptIndex index) override {
-    ops.push_back(StreamEvent::checkpoint(p, index));
-  }
-
-  std::vector<StreamEvent> ops;
-};
-
 // A random-environment stream of at least `min_events` events (scaled from
 // a probe run, like bench_stream's calibration).
 std::vector<StreamEvent> recorded_stream(std::size_t min_events) {
   RandomEnvConfig cfg = random_env_preset();
   cfg.seed = 1;
-  Recorder probe;
-  replay(random_environment(cfg), ProtocolKind::kBhmr, {.online = &probe});
+  std::vector<StreamEvent> probe = record_stream(random_environment(cfg));
   const double scale = static_cast<double>(min_events) /
-                       static_cast<double>(std::max<std::size_t>(probe.ops.size(), 1));
-  if (scale <= 1.0) return std::move(probe.ops);
+                       static_cast<double>(std::max<std::size_t>(probe.size(), 1));
+  if (scale <= 1.0) return probe;
   cfg.duration *= scale * 1.1;  // headroom: the scaling is only linear-ish
-  Recorder full;
-  replay(random_environment(cfg), ProtocolKind::kBhmr, {.online = &full});
-  return std::move(full.ops);
+  return record_stream(random_environment(cfg));
 }
 
 // The standalone reference: one engine fed the stream directly. Every
@@ -90,7 +68,7 @@ struct Reference {
 
 Reference standalone_reference(int num_processes,
                                std::span<const StreamEvent> ops) {
-  OnlineEngine engine(num_processes);
+  OnlineEngine engine(EngineOptions{num_processes});
   engine.feed(ops);
   Reference ref;
   ref.rdt = engine.is_rdt_so_far();
@@ -118,20 +96,20 @@ std::vector<int> parse_csv(const std::string& csv,
   return out.empty() ? fallback : out;
 }
 
-bench::JsonValue to_json(const PercentileSummary& s) {
-  return bench::JsonObject{{"count", static_cast<long long>(s.count)},
-                           {"p50", s.p50},
-                           {"p90", s.p90},
-                           {"p99", s.p99},
-                           {"min", s.min},
-                           {"max", s.max}};
+json::Value to_json(const PercentileSummary& s) {
+  return json::Object{{"count", static_cast<long long>(s.count)},
+                      {"p50", s.p50},
+                      {"p90", s.p90},
+                      {"p99", s.p99},
+                      {"min", s.min},
+                      {"max", s.max}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_bench_args(argc, argv);
-  BenchReport report("serve", args);
+  const BenchArgs args(argc, argv);
+  BenchReport report("serve", args.json_path(), args.trace_path());
   const auto total_events = static_cast<std::size_t>(
       std::max(1, args.flag_or("--events", 1000000)));
   const auto batch = static_cast<std::size_t>(
@@ -142,8 +120,7 @@ int main(int argc, char** argv) {
   const std::vector<int> session_counts =
       parse_csv(args.flag_or("--sessions", std::string()), {16, 256, 4096});
   const int num_processes = random_env_preset().num_processes;
-  const int cores =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const int cores = hardware_threads();
 
   std::cout << "==================================================================\n"
             << "serve throughput — session-sharded multi-tenant OnlineEngine pool\n"
@@ -154,10 +131,10 @@ int main(int argc, char** argv) {
 
   report.add_metrics(
       "host",
-      bench::JsonObject{{"hardware_concurrency", cores},
-                        {"clients", clients},
-                        {"batch_events", static_cast<long long>(batch)},
-                        {"total_events", static_cast<long long>(total_events)}});
+      json::Object{{"hardware_concurrency", cores},
+                   {"clients", clients},
+                   {"batch_events", static_cast<long long>(batch)},
+                   {"total_events", static_cast<long long>(total_events)}});
 
   // One recorded stream serves every cell: cell (shards, sessions) feeds
   // each of its sessions the prefix of total_events / sessions events.
@@ -228,7 +205,7 @@ int main(int argc, char** argv) {
       const std::string section = section_name.str();
       report.add_metrics(
           section,
-          bench::JsonObject{
+          json::Object{
               {"shards", shards},
               {"sessions", sessions},
               {"events_per_session", static_cast<long long>(stream.size())},
@@ -250,7 +227,7 @@ int main(int argc, char** argv) {
   // Scaling: 8-shard (max-shard) aggregate rate over the 1-shard rate from
   // the same run. The perf-smoke gate conditions on hardware_concurrency —
   // a 1-core container cannot (and should not pretend to) show a speedup.
-  bench::JsonObject scaling{{"hardware_concurrency", cores}};
+  json::Object scaling{{"hardware_concurrency", cores}};
   std::cout << "\nscaling (max shards vs 1 shard, same total events):\n";
   for (std::size_t si = 0; si < session_counts.size(); ++si) {
     const double base = rates[si].front();
@@ -296,9 +273,9 @@ int main(int argc, char** argv) {
               << sessions << " engines, answers "
               << (reuse_ok ? "identical" : "DIVERGED") << "\n";
     report.add_metrics("reuse",
-                       bench::JsonObject{{"sessions", sessions},
-                                         {"engines_recycled", recycled},
-                                         {"reuse_ok", reuse_ok}});
+                       json::Object{{"sessions", sessions},
+                                    {"engines_recycled", recycled},
+                                    {"reuse_ok", reuse_ok}});
   }
 
   report.finish();

@@ -50,33 +50,6 @@ using Clock = std::chrono::steady_clock;
 // 20 timing chunks: quartiles aggregate 5, deciles aggregate 2.
 constexpr std::size_t kChunks = 20;
 
-// Captures a replay's builder stream as a replayable event list (the feed
-// side of the online engine, decoupled from the replay so the timed loop is
-// pure engine cost).
-class Recorder final : public PatternListener {
- public:
-  void on_send(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::send(m, sender, receiver));
-  }
-  void on_deliver(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::deliver(m, sender, receiver));
-  }
-  void on_internal(ProcessId p) override {
-    ops.push_back(StreamEvent::internal(p));
-  }
-  void on_checkpoint(ProcessId p, CkptIndex index) override {
-    ops.push_back(StreamEvent::checkpoint(p, index));
-  }
-
-  std::vector<StreamEvent> ops;
-};
-
-std::vector<StreamEvent> record(const Trace& trace) {
-  Recorder recorder;
-  replay(trace, ProtocolKind::kBhmr, {.online = &recorder});
-  return recorder.ops;
-}
-
 struct StreamTimings {
   std::size_t events = 0;
   double wall = 0.0;
@@ -96,7 +69,7 @@ StreamTimings run_stream(int num_processes,
                          const std::vector<StreamEvent>& ops) {
   StreamTimings t;
   t.events = ops.size();
-  OnlineEngine engine(num_processes);
+  OnlineEngine engine(EngineOptions{num_processes});
   std::vector<CkptIndex> durable(static_cast<std::size_t>(num_processes), 0);
   ProcessId target_p = 0;
 
@@ -223,7 +196,7 @@ struct ConcurrentTimings {
 ConcurrentTimings run_concurrent(int num_processes,
                                  const std::vector<StreamEvent>& ops,
                                  std::size_t batch) {
-  OnlineEngine engine(num_processes);
+  OnlineEngine engine(EngineOptions{num_processes});
   ConcurrentTimings t;
   std::atomic<bool> done{false};
   std::atomic<long long> queries{0};
@@ -327,8 +300,8 @@ NaiveTimings run_naive(int num_processes, const std::vector<StreamEvent>& ops,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_bench_args(argc, argv);
-  BenchReport report("stream", args);
+  const BenchArgs args(argc, argv);
+  BenchReport report("stream", args.json_path(), args.trace_path());
   const long long target = args.flag_or("--events", 1000000);
   const std::size_t batch = static_cast<std::size_t>(
       std::max(1, args.flag_or("--batch", 4096)));
@@ -347,26 +320,26 @@ int main(int argc, char** argv) {
   // Calibrate each environment to the event target by scaling its duration
   // knob linearly from a probe run at the preset size.
   const auto scaled_ops = [&](const EnvPreset& env) {
-    const std::size_t probe = record(env.generate(1)).size();
+    const std::size_t probe = record_stream(env.generate(1)).size();
     const double scale =
         static_cast<double>(target) / static_cast<double>(std::max<std::size_t>(probe, 1));
     if (env.name == "random") {
       RandomEnvConfig cfg = random_env_preset();
       cfg.duration *= scale;
       cfg.seed = 1;
-      return record(random_environment(cfg));
+      return record_stream(random_environment(cfg));
     }
     if (env.name == "group") {
       GroupEnvConfig cfg = group_env_preset();
       cfg.duration *= scale;
       cfg.seed = 1;
-      return record(group_environment(cfg));
+      return record_stream(group_environment(cfg));
     }
     ClientServerEnvConfig cfg = client_server_env_preset();
     cfg.num_requests = std::max(
         1, static_cast<int>(static_cast<double>(cfg.num_requests) * scale));
     cfg.seed = 1;
-    return record(client_server_environment(cfg));
+    return record_stream(client_server_environment(cfg));
   };
 
   double random_per_event = 0.0;
@@ -393,9 +366,9 @@ int main(int argc, char** argv) {
         .add(d1 > 0 ? d10 / d1 : 0.0, 3);
 
     // Intake-only single vs batched, plus the bit-identity cross-check.
-    OnlineEngine single(num_processes);
+    OnlineEngine single(EngineOptions{num_processes});
     const double single_wall = run_feed_single(single, ops);
-    OnlineEngine batched(num_processes);
+    OnlineEngine batched(EngineOptions{num_processes});
     const double batched_wall = run_feed_batched(batched, ops, batch);
     const bool match = same_end_state(single, batched);
     all_states_match = all_states_match && match;
@@ -419,21 +392,21 @@ int main(int argc, char** argv) {
 
     report.add_metrics(
         env.name,
-        JsonObject{{"events", static_cast<long long>(t.events)},
-                   {"checkpoints", t.checkpoints},
-                   {"wall_seconds", t.wall},
-                   {"events_per_sec", rate},
-                   {"rate_q1", q1},
-                   {"rate_q2", rate_over(t, 5, 5)},
-                   {"rate_q3", rate_over(t, 10, 5)},
-                   {"rate_q4", q4},
-                   {"flatness_q4_over_q1", q1 > 0 ? q4 / q1 : 0.0},
-                   {"rate_d1", d1},
-                   {"rate_d10", d10},
-                   {"growth10_d10_over_d1", d1 > 0 ? d10 / d1 : 0.0},
-                   {"feed_events_per_sec", feed_rate},
-                   {"batched_events_per_sec", batched_rate},
-                   {"batched_speedup",
+        json::Object{{"events", static_cast<long long>(t.events)},
+                     {"checkpoints", t.checkpoints},
+                     {"wall_seconds", t.wall},
+                     {"events_per_sec", rate},
+                     {"rate_q1", q1},
+                     {"rate_q2", rate_over(t, 5, 5)},
+                     {"rate_q3", rate_over(t, 10, 5)},
+                     {"rate_q4", q4},
+                     {"flatness_q4_over_q1", q1 > 0 ? q4 / q1 : 0.0},
+                     {"rate_d1", d1},
+                     {"rate_d10", d10},
+                     {"growth10_d10_over_d1", d1 > 0 ? d10 / d1 : 0.0},
+                     {"feed_events_per_sec", feed_rate},
+                     {"batched_events_per_sec", batched_rate},
+                     {"batched_speedup",
                     feed_rate > 0 ? batched_rate / feed_rate : 0.0},
                    {"batch_size", static_cast<long long>(batch)},
                    {"batched_state_matches", match},
@@ -470,13 +443,13 @@ int main(int argc, char** argv) {
                "rate after 10x pattern growth.\n";
   report.add_metrics(
       "naive",
-      JsonObject{{"events", static_cast<long long>(naive.events)},
-                 {"samples", naive.samples},
-                 {"wall_seconds", naive.wall},
-                 {"per_prefix_seconds", per_prefix},
-                 {"engine_per_event_seconds", random_per_event},
-                 {"speedup", speedup},
-                 {"checksum", naive.checksum}});
+      json::Object{{"events", static_cast<long long>(naive.events)},
+                   {"samples", naive.samples},
+                   {"wall_seconds", naive.wall},
+                   {"per_prefix_seconds", per_prefix},
+                   {"engine_per_event_seconds", random_per_event},
+                   {"speedup", speedup},
+                   {"checksum", naive.checksum}});
   report.finish();
   if (!all_states_match) {
     std::cerr << "\nbench_stream: batched end state DIVERGED from the "

@@ -23,8 +23,8 @@ using Clock = std::chrono::steady_clock;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_bench_args(argc, argv);
-  BenchReport report("sweep", args);
+  const BenchArgs args(argc, argv);
+  BenchReport report("sweep", args.json_path(), args.trace_path());
   const int seeds = args.seeds(20);
   const int threads = args.threads();
 
@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
         .add(stats.back().r_forced_per_basic.mean, 4);
     report.add_sweep(name, {{"seeds", seeds}, {"threads", threads}}, stats);
     report.add_metrics(name + "_timing",
-                       JsonObject{{"wall_seconds", wall},
-                                  {"replays_per_second", replays / wall}});
+                       json::Object{{"wall_seconds", wall},
+                                    {"replays_per_second", replays / wall}});
   };
 
   for (const EnvPreset& env : env_presets()) run(env.name, env.generate);

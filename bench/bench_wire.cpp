@@ -90,8 +90,8 @@ EquivalenceRow check_equivalence(const Trace& trace, ProtocolKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_bench_args(argc, argv);
-  BenchReport report("wire", args);
+  const BenchArgs args(argc, argv);
+  BenchReport report("wire", args.json_path(), args.trace_path());
   const int seeds = args.seeds(20);
   const int threads = args.threads();
   const std::vector<ProtocolKind> kinds = pareto_protocols();
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   // characterization suite runs twice per cell, so this section stays
   // narrow and deterministic rather than sweeping.
   bool all_ok = true;
-  JsonArray equivalence_rows;
+  json::Array equivalence_rows;
   Table eq_table({"environment", "protocol", "codec", "counts", "reasons",
                   "verdict", "recovery"});
   for (const EnvPreset& env : env_presets()) {
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
           .add(row.reasons_ok ? "ok" : "MISMATCH")
           .add(row.verdict_ok ? "ok" : "MISMATCH")
           .add(row.recovery_ok ? "ok" : "MISMATCH");
-      equivalence_rows.push_back(JsonObject{
+      equivalence_rows.push_back(json::Object{
           {"environment", env.name},
           {"protocol", to_string(kind)},
           {"codec", to_cstring(registry.info(kind).codec)},
@@ -168,15 +168,15 @@ int main(int argc, char** argv) {
                        : "\nMISMATCH: a codec changed analysis results — "
                          "this is a bug.\n\n");
   report.add_metrics("equivalence",
-                     JsonObject{{"all_ok", all_ok},
-                                {"rows", std::move(equivalence_rows)}});
+                     json::Object{{"all_ok", all_ok},
+                                  {"rows", std::move(equivalence_rows)}});
 
   // --- Section 3: every payload-carrying protocol x every codec. ---------
   {
     const int codec_seeds = std::min(seeds, 5);
     Table table({"protocol", "flat bits/msg", "delta bits/msg",
                  "sparse bits/msg", "declared"});
-    JsonArray rows;
+    json::Array rows;
     PayloadArena arena;
     for (ProtocolKind kind : kinds) {
       const ProtocolInfo& info = registry.info(kind);
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
           !info.shape.index)
         continue;  // nothing on the wire; all codecs encode 0 bits
       table.begin_row().add(to_string(kind));
-      JsonObject row{{"protocol", to_string(kind)}};
+      json::Object row{{"protocol", to_string(kind)}};
       for (int c = 0; c < kNumPiggybackCodecKinds; ++c) {
         const auto codec = static_cast<PiggybackCodecKind>(c);
         unsigned long long bits = 0;
@@ -212,9 +212,9 @@ int main(int argc, char** argv) {
               << " seeds):\n";
     table.print(std::cout);
     report.add_metrics("codec_comparison",
-                       JsonObject{{"environment", "random"},
-                                  {"seeds", codec_seeds},
-                                  {"rows", std::move(rows)}});
+                       json::Object{{"environment", "random"},
+                                    {"seeds", codec_seeds},
+                                    {"rows", std::move(rows)}});
   }
 
   std::cout << "\nthe delta codec wins wherever traffic revisits channels "

@@ -216,4 +216,21 @@ std::size_t MetricsRegistry::num_shards() const {
   return shards_.size();
 }
 
+json::Object to_json(const MetricsSnapshot& snapshot) {
+  json::Object counters;
+  for (const auto& [name, total] : snapshot.counters)
+    counters.emplace_back(name, total);
+  json::Object histograms;
+  for (const HistogramSnapshot& h : snapshot.histograms)
+    histograms.emplace_back(
+        h.name, json::Object{{"bounds", json::Array(h.bounds.begin(), h.bounds.end())},
+                             {"counts", json::Array(h.counts.begin(), h.counts.end())},
+                             {"count", h.count},
+                             {"sum", h.sum},
+                             {"min", h.min},
+                             {"max", h.max}});
+  return {{"counters", std::move(counters)},
+          {"histograms", std::move(histograms)}};
+}
+
 }  // namespace rdt::obs

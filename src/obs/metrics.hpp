@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace rdt::obs {
@@ -65,6 +66,12 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, long long>> counters;
   std::vector<HistogramSnapshot> histograms;
 };
+
+// The snapshot as the members {"counters": {name: total, ...},
+// "histograms": {name: {"bounds", "counts", "count", "sum", "min", "max"},
+// ...}}, in registration order. Both the chrome trace's "metrics" block and
+// a bench report's observability section are written from this.
+json::Object to_json(const MetricsSnapshot& snapshot);
 
 class MetricsRegistry {
  public:

@@ -48,13 +48,10 @@ OnlineEngine::OnlineEngine(const EngineOptions& options)
   if constexpr (kAuditsEnabled) {
     // The shadow is keep-all, so it never builds a shadow of its own.
     if (retention_.enabled)
-      shadow_ = std::make_unique<OnlineEngine>(options.num_processes);
+      shadow_ = std::make_unique<OnlineEngine>(EngineOptions{options.num_processes});
   }
   refresh_resident_bytes();
 }
-
-OnlineEngine::OnlineEngine(int num_processes)
-    : OnlineEngine(EngineOptions{num_processes, RetentionPolicy::keep_all()}) {}
 
 void OnlineEngine::bootstrap_processes() {
   const auto n = static_cast<std::size_t>(num_processes());
@@ -180,19 +177,15 @@ void OnlineEngine::reset(const EngineOptions& options) {
   if constexpr (kAuditsEnabled) {
     if (retention_.enabled) {
       if (shadow_)
-        shadow_->reset(options.num_processes);
+        shadow_->reset(EngineOptions{options.num_processes});
       else
-        shadow_ = std::make_unique<OnlineEngine>(options.num_processes);
+        shadow_ = std::make_unique<OnlineEngine>(EngineOptions{options.num_processes});
     } else {
       shadow_.reset();
     }
   }
   audit_published_state();
   refresh_resident_bytes();
-}
-
-void OnlineEngine::reset(int num_processes) {
-  reset(EngineOptions{num_processes, RetentionPolicy::keep_all()});
 }
 
 template <typename Fn>

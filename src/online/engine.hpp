@@ -189,9 +189,6 @@ class OnlineEngine final : public PatternListener {
  public:
   // The canonical construction path: process count + retention policy.
   explicit OnlineEngine(const EngineOptions& options);
-  // Compatibility wrapper — a keep-all engine over `num_processes`
-  // processes, exactly OnlineEngine(EngineOptions{num_processes}).
-  explicit OnlineEngine(int num_processes);
 
   // Rewind to the freshly-constructed state under `options`, recycling
   // every arena the old stream grew: the message table, piggyback pools,
@@ -214,8 +211,6 @@ class OnlineEngine final : public PatternListener {
   // seqlock is still bracketed so a stray late reader spins rather than
   // tearing, but log prefixes a reader captured before reset are dead.
   void reset(const EngineOptions& options);
-  // Compatibility wrapper: reset(EngineOptions{num_processes}) — keep-all.
-  void reset(int num_processes);
 
   // The policy the engine was constructed/reset with. Lifecycle-stable:
   // changes only in the constructor and reset(), whose contract excludes

@@ -132,11 +132,14 @@ ProtocolInfo describe(ProtocolKind kind) {
 
 }  // namespace
 
-std::size_t ProtocolInfo::piggyback_bits(int num_processes) const {
+std::optional<std::size_t> ProtocolInfo::piggyback_bits(
+    int num_processes) const {
   // Measured: the declared codec's encoding of the protocol's first
   // message, P_0 -> P_1 on fresh state. With one process no channel
   // exists and nothing is ever piggybacked.
   if (num_processes < 2) return 0;
+  if (codec == PiggybackCodecKind::kDelta && num_processes > kMaxDeltaProcesses)
+    return std::nullopt;
   const auto proto =
       ProtocolRegistry::instance().create(kind, num_processes, /*self=*/0);
   Piggyback payload = proto->make_payload();

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -43,8 +44,10 @@ struct ProtocolInfo {
   // computation: the declared codec's encoding of the protocol's first
   // message (P0 -> P1 on fresh state). Per-replay means come from
   // ReplayResult::wire_bits_total; with fewer than two processes no
-  // message can exist and this is 0.
-  std::size_t piggyback_bits(int num_processes) const;
+  // message can exist and this is 0. nullopt when the declared codec
+  // cannot carry n processes (a delta codec beyond kMaxDeltaProcesses):
+  // there is no wire figure at that size.
+  std::optional<std::size_t> piggyback_bits(int num_processes) const;
   // The analytic flat-plane figure (TDV entries as 32-bit integers, one
   // bit per plane cell) kept as the labeled comparison column.
   std::size_t flat_piggyback_bits(int num_processes) const;

@@ -1,9 +1,13 @@
 #include "util/json.hpp"
 
-#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <iomanip>
+#include <ostream>
+#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace rdt::json {
 
@@ -25,7 +29,7 @@ class Parser {
   }
 
  private:
-  // Deep enough for any rdt-bench-v1 / rdt-trace-v1 document, shallow
+  // Deep enough for any rdt-bench-v2 / rdt-trace-v1 document, shallow
   // enough that adversarial input cannot overflow the call stack.
   static constexpr int kMaxDepth = 256;
 
@@ -223,10 +227,12 @@ class Parser {
       // Magnitude overflow: fall through to double like other parsers do.
     }
     const std::string copy(token);  // strtod needs a terminator
-    errno = 0;
     char* end = nullptr;
     const double d = std::strtod(copy.c_str(), &end);
     if (end != copy.c_str() + copy.size()) fail("invalid number");
+    // dump() writes a non-finite double as null, so an overflowing literal
+    // could not round-trip; underflow to zero or a subnormal is kept.
+    if (std::isinf(d)) fail("number out of range");
     return Value(d);
   }
 
@@ -281,6 +287,85 @@ const Value& Value::at(std::string_view key) const {
     throw std::invalid_argument("json: missing member '" + std::string(key) +
                                 "'");
   return *v;
+}
+
+namespace {
+
+void dump_string(std::ostream& os, const std::string& s) {
+  os << '"';
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      os << '\\' << c;
+    } else if (c == '\n') {
+      os << "\\n";
+    } else if (c == '\t') {
+      os << "\\t";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      os << "\\u00" << "0123456789abcdef"[c >> 4] << "0123456789abcdef"[c & 0xf];
+    } else {
+      os << c;
+    }
+  }
+  os << '"';
+}
+
+}  // namespace
+
+void Value::dump(std::ostream& os) const {
+  switch (kind()) {
+    case Kind::kNull: os << "null"; return;
+    case Kind::kBool: os << (std::get<bool>(v_) ? "true" : "false"); return;
+    case Kind::kInt: os << std::get<long long>(v_); return;
+    case Kind::kDouble: {
+      // A local stream, so the caller's precision and flags are untouched.
+      const double d = std::get<double>(v_);
+      std::ostringstream tmp;
+      tmp << std::setprecision(std::numeric_limits<double>::max_digits10) << d;
+      os << (std::isfinite(d) ? tmp.str() : "null");
+      return;
+    }
+    case Kind::kString: dump_string(os, std::get<std::string>(v_)); return;
+    case Kind::kArray: {
+      const char* sep = "";
+      os << '[';
+      for (const Value& item : std::get<Array>(v_)) {
+        os << std::exchange(sep, ",");
+        item.dump(os);
+      }
+      os << ']';
+      return;
+    }
+    case Kind::kObject: {
+      const char* sep = "";
+      os << '{';
+      for (const auto& [key, value] : std::get<Object>(v_)) {
+        os << std::exchange(sep, ",");
+        dump_string(os, key);
+        os << ':';
+        value.dump(os);
+      }
+      os << '}';
+      return;
+    }
+  }
+}
+
+std::string Value::dump() const {
+  std::ostringstream os;
+  dump(os);
+  return os.str();
+}
+
+bool operator==(const Value& a, const Value& b) {
+  if (a.is_int() && b.is_double()) return b == a;
+  if (a.is_double() && b.is_int()) {
+    // Exact: the double must be integral and inside long long's range
+    // (-2^63 <= d < 2^63) before it is converted.
+    const double d = a.as_double();
+    return std::trunc(d) == d && d >= -0x1p63 && d < 0x1p63 &&
+           static_cast<long long>(d) == b.as_int();
+  }
+  return a.v_ == b.v_;
 }
 
 Value parse(std::string_view text) { return Parser(text).run(); }

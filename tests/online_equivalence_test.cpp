@@ -155,7 +155,7 @@ std::vector<std::size_t> deliver_positions(
 void check_all_prefixes(int num_processes,
                         const std::vector<StreamEvent>& ops) {
   const std::vector<std::size_t> deliver_pos = deliver_positions(ops);
-  OnlineEngine engine(num_processes);
+  OnlineEngine engine(EngineOptions{num_processes});
   expect_prefix_equivalence(
       engine, closed_prefix(num_processes, ops, 0, deliver_pos), 0);
   for (std::size_t len = 1; len <= ops.size(); ++len) {
@@ -286,8 +286,8 @@ void check_batched_vs_single(int num_processes,
                              const std::vector<StreamEvent>& ops,
                              std::size_t batch) {
   SCOPED_TRACE("batch size " + std::to_string(batch));
-  OnlineEngine single(num_processes);
-  OnlineEngine batched(num_processes);
+  OnlineEngine single(EngineOptions{num_processes});
+  OnlineEngine batched(EngineOptions{num_processes});
   const std::span<const StreamEvent> all(ops);
   for (std::size_t i = 0; i < all.size(); i += batch) {
     const std::size_t n = std::min(batch, all.size() - i);
@@ -359,7 +359,7 @@ TEST(OnlineBatched, EmptyAndWholeStreamBatches) {
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
-  OnlineEngine engine(cfg.num_processes);
+  OnlineEngine engine(EngineOptions{cfg.num_processes});
   engine.feed({});  // no-op
   EXPECT_EQ(engine.events_consumed(), 0);
   engine.feed(ops);
@@ -367,7 +367,7 @@ TEST(OnlineBatched, EmptyAndWholeStreamBatches) {
   EXPECT_EQ(engine.events_consumed(),
             static_cast<long long>(ops.size()));
 
-  OnlineEngine single(cfg.num_processes);
+  OnlineEngine single(EngineOptions{cfg.num_processes});
   for (const StreamEvent& op : ops) feed_one(single, op);
   expect_same_live_state(single, engine);
 }
@@ -386,11 +386,11 @@ void check_reset_matches_fresh(int warm_processes,
                std::to_string(warm.size()) + " events, reset " +
                std::to_string(warm_processes) + " -> " +
                std::to_string(num_processes) + " processes");
-  OnlineEngine recycled(warm_processes);
+  OnlineEngine recycled(EngineOptions{warm_processes});
   recycled.feed(std::span<const StreamEvent>(warm).first(warm_len));
-  recycled.reset(num_processes);
+  recycled.reset(EngineOptions{num_processes});
 
-  OnlineEngine fresh(num_processes);
+  OnlineEngine fresh(EngineOptions{num_processes});
   expect_same_live_state(fresh, recycled);
   const std::span<const StreamEvent> all(ops);
   constexpr std::size_t kBatch = 32;
@@ -453,12 +453,12 @@ TEST(OnlineReset, RepeatedResetStaysFresh) {
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
-  OnlineEngine recycled(cfg.num_processes);
-  OnlineEngine fresh(cfg.num_processes);
+  OnlineEngine recycled(EngineOptions{cfg.num_processes});
+  OnlineEngine fresh(EngineOptions{cfg.num_processes});
   fresh.feed(ops);
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    recycled.reset(cfg.num_processes);
+    recycled.reset(EngineOptions{cfg.num_processes});
     EXPECT_EQ(recycled.events_consumed(), 0);
     recycled.feed(ops);
     expect_same_live_state(fresh, recycled);
@@ -480,7 +480,7 @@ TEST(OnlineConcurrency, QueriesDuringFeed) {
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
-  OnlineEngine engine(cfg.num_processes);
+  OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
 
   std::vector<std::thread> readers;
@@ -524,7 +524,7 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
-  OnlineEngine engine(cfg.num_processes);
+  OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
 
   std::vector<std::thread> readers;
@@ -618,7 +618,7 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   for (std::thread& r : readers) r.join();
 
   // Retained-state answers still match a keep-all engine.
-  OnlineEngine keepall(cfg.num_processes);
+  OnlineEngine keepall(EngineOptions{cfg.num_processes});
   keepall.feed(ops);
   EXPECT_EQ(engine.is_rdt_so_far(), keepall.is_rdt_so_far());
   EXPECT_EQ(engine.stats().value, keepall.stats().value);

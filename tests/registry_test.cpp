@@ -58,7 +58,8 @@ TEST(ProtocolRegistry, MetadataMatchesInstances) {
         << info.id;
     // The measured figure never exceeds the flat one (a codec that inflates
     // its payload would be a bug), and both vanish when no channel exists.
-    EXPECT_LE(info.piggyback_bits(5), info.flat_piggyback_bits(5)) << info.id;
+    EXPECT_LE(info.piggyback_bits(5).value(), info.flat_piggyback_bits(5))
+        << info.id;
     EXPECT_EQ(info.piggyback_bits(1), 0u) << info.id;
     // The declared shape matches what the protocol's payload carries.
     const Piggyback pb = p->make_payload();
@@ -73,6 +74,24 @@ TEST(ProtocolRegistry, MetadataMatchesInstances) {
   EXPECT_FALSE(registry.info(ProtocolKind::kBcs).ensures_rdt);
   for (ProtocolKind kind : rdt_protocol_kinds())
     EXPECT_TRUE(registry.info(kind).ensures_rdt) << to_string(kind);
+}
+
+TEST(ProtocolRegistry, NoWireFigureBeyondTheDeltaCodecCap) {
+  // Delta codec shadows are capped at kMaxDeltaProcesses, so a
+  // delta-declared protocol has no first-message wire figure beyond the
+  // cap; the flat and sparse codecs have none.
+  for (const ProtocolInfo& info : ProtocolRegistry::instance().all()) {
+    EXPECT_TRUE(info.piggyback_bits(kMaxDeltaProcesses).has_value())
+        << info.id;
+    EXPECT_EQ(info.piggyback_bits(kMaxDeltaProcesses + 1).has_value(),
+              info.codec != PiggybackCodecKind::kDelta)
+        << info.id;
+  }
+  // At least one delta-declared protocol exists, so the cap is exercised.
+  EXPECT_EQ(ProtocolRegistry::instance()
+                .info(ProtocolKind::kBhmr)
+                .piggyback_bits(kMaxDeltaProcesses + 1),
+            std::nullopt);
 }
 
 TEST(ProtocolRegistry, DeclaredPredicates) {

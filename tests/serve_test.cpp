@@ -123,7 +123,7 @@ void check_heterogeneous_sessions(
   }
   pool.drain();
   for (std::size_t i = 0; i < streams.size(); ++i) {
-    OnlineEngine standalone(num_processes);
+    OnlineEngine standalone(EngineOptions{num_processes});
     standalone.feed(streams[i]);
     expect_matches_standalone(pool, static_cast<SessionId>(i + 1), standalone);
   }
@@ -286,7 +286,7 @@ TEST(ServeRejection, MalformedPayloadIsDroppedNotFatal) {
   EXPECT_EQ(stats.rejected, 2);
   EXPECT_EQ(stats.frames, 2);  // only the good frames count as fed
   EXPECT_EQ(pool.events_consumed(1), 3);
-  OnlineEngine standalone(2);
+  OnlineEngine standalone(EngineOptions{2});
   standalone.feed(std::vector<StreamEvent>{StreamEvent::internal(0),
                                            StreamEvent::checkpoint(0, 1),
                                            StreamEvent::internal(1)});
@@ -317,7 +317,7 @@ TEST(ServeRecycle, ReopenedSessionReusesEngineBitIdentically) {
   EXPECT_EQ(pool.shard_stats(0).engines_recycled, 1);
   submit_stream(pool, 2, fresh, 32);
   pool.drain();
-  OnlineEngine standalone(4);
+  OnlineEngine standalone(EngineOptions{4});
   standalone.feed(fresh);
   expect_matches_standalone(pool, 2, standalone);
 }
@@ -338,7 +338,7 @@ TEST(ServeDriver, SummedAnswersMatchStandalone) {
   options.batch_events = 16;
   const DriverReport report = run_clients(pool, stream, options);
 
-  OnlineEngine standalone(4);
+  OnlineEngine standalone(EngineOptions{4});
   standalone.feed(stream);
   EXPECT_EQ(report.events,
             static_cast<long long>(stream.size()) * options.sessions);
@@ -379,7 +379,7 @@ TEST(ServePiggyback, DriverCarriesCodecTrafficEndToEnd) {
     EXPECT_EQ(report.piggyback_frames, report.frames);
     EXPECT_EQ(report.piggyback_rejected, 0);
     EXPECT_GT(report.piggyback_bits, 0);
-    OnlineEngine standalone(4);
+    OnlineEngine standalone(EngineOptions{4});
     standalone.feed(stream);
     EXPECT_EQ(report.events_consumed, standalone.events_consumed() * 6);
     EXPECT_EQ(report.rdt_sessions, standalone.is_rdt_so_far() ? 6 : 0);
@@ -526,7 +526,7 @@ struct Applied {
 // group, or one apply() per frame (the reference: one feed() per frame).
 Applied apply_frames(int num_processes, const std::vector<std::vector<std::uint8_t>>& frames,
                      bool coalesce) {
-  Applied out{ShardStats{}, std::make_unique<OnlineEngine>(num_processes), SessionCodec{}};
+  Applied out{ShardStats{}, std::make_unique<OnlineEngine>(EngineOptions{num_processes}), SessionCodec{}};
   FrameApplier applier(num_processes);
   const std::vector<std::span<const std::uint8_t>> spans(frames.begin(), frames.end());
   if (coalesce) {
@@ -616,7 +616,7 @@ Applied expect_coalesced_matches_reference(int num_processes,
 TEST(ServeApply, BadWirePayloadAnywhereInTheGroup) {
   const CodecStream cs = codec_stream();
   const std::vector<std::uint8_t> bad_payload = {4, 1, 1, 3, 0};
-  OnlineEngine standalone(cs.num_processes);
+  OnlineEngine standalone(EngineOptions{cs.num_processes});
   standalone.feed(cs.events);
   const std::size_t n = cs.num_frames();
   ASSERT_GE(n, 8u);
@@ -698,7 +698,7 @@ TEST(ServeApply, BadPiggybackSectionsMidGroup) {
   EXPECT_GE(coalesced.stats.piggyback_rejected, 2);
   EXPECT_EQ(coalesced.stats.piggyback_frames + coalesced.stats.piggyback_rejected,
             static_cast<long long>(frames.size()));
-  OnlineEngine standalone(cs.num_processes);
+  OnlineEngine standalone(EngineOptions{cs.num_processes});
   standalone.feed(cs.events);
   expect_same_answers(*coalesced.engine, standalone);
 }
@@ -789,7 +789,7 @@ TEST(ServeConcurrency, QueryThreadsDuringConcurrentIngest) {
   for (std::thread& q : queriers) q.join();
   EXPECT_GE(query_fold.load(), 0);
 
-  OnlineEngine standalone(4);
+  OnlineEngine standalone(EngineOptions{4});
   standalone.feed(stream);
   for (SessionId id = 1; id <= kSessions; ++id)
     expect_matches_standalone(pool, id, standalone);
@@ -814,7 +814,7 @@ TEST(ServeConcurrency, DriverWorkloadWithRecycling) {
   options.cheap_query_stride = 2;
   options.recovery_query_stride = 5;
 
-  OnlineEngine standalone(4);
+  OnlineEngine standalone(EngineOptions{4});
   standalone.feed(stream);
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));

@@ -164,6 +164,41 @@ TEST(ChromeTrace, EmptyCaptureIsStillValid) {
   EXPECT_TRUE(doc.at("metrics").at("counters").as_object().empty());
 }
 
+TEST(ChromeTrace, EmptyCaptureBytesArePinned) {
+  ObsSession session;
+  session.deactivate();
+  std::ostringstream os;
+  session.write_chrome_trace(os);
+  EXPECT_EQ(os.str(),
+            "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\",\"otherData\":"
+            "{\"schema\":\"rdt-trace-v1\"},\"metrics\":{\"counters\":{},"
+            "\"histograms\":{}}}\n");
+}
+
+// The counters/histograms block both writers share: the chrome trace's
+// "metrics" object and a bench report's observability section.
+TEST(MetricsJson, SnapshotSpellingIsPinned) {
+  ObsSession session;
+  MetricsRegistry& metrics = session.metrics();
+  metrics.add(metrics.counter("replay.fdas.replays"), 3);
+  metrics.add(metrics.counter("des.events"), 0);
+  const std::vector<long long> bounds{1, 2};
+  const HistogramId h = metrics.histogram("sweep.item_us", bounds);
+  metrics.record(h, 1);
+  metrics.record(h, 100);
+  session.deactivate();
+
+  const json::Value block = to_json(metrics.snapshot());
+  EXPECT_EQ(block.dump(),
+            R"({"counters":{"replay.fdas.replays":3,"des.events":0},)"
+            R"("histograms":{"sweep.item_us":{"bounds":[1,2],"counts":[1,0,1],)"
+            R"("count":2,"sum":101,"min":1,"max":100}}})");
+
+  std::ostringstream os;
+  session.write_chrome_trace(os);
+  EXPECT_EQ(json::parse(os.str()).at("metrics"), block);
+}
+
 // The macro layer: hooks record if and only if observability is compiled
 // in (-DRDT_OBS=ON). Both builds run this test; the expectation flips.
 TEST(Hooks, MacrosAreCompileTimeGated) {
