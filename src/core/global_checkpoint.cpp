@@ -25,7 +25,9 @@ std::vector<bool> pin_mask(const Pattern& p, std::span<const CkptId> pins) {
 }
 
 // Raise-sender fixpoint. Returns false iff repairing an orphan would move a
-// pinned component.
+// pinned component. A repair moves a component one way for good, so repairs
+// are few next to the scan's visits (every message, every pass): both
+// fixpoints keep the repair out of line and the scan loop contiguous.
 bool min_fixpoint(const Pattern& p, GlobalCkpt& g, const std::vector<bool>& pinned) {
   bool changed = true;
   while (changed) {
@@ -33,7 +35,7 @@ bool min_fixpoint(const Pattern& p, GlobalCkpt& g, const std::vector<bool>& pinn
     for (const Message& m : p.messages()) {
       auto& x = g.indices[static_cast<std::size_t>(m.sender)];
       const auto y = g.indices[static_cast<std::size_t>(m.receiver)];
-      if (m.send_interval > x && m.deliver_interval <= y) {
+      if (m.send_interval > x && m.deliver_interval <= y) [[unlikely]] {
         if (pinned[static_cast<std::size_t>(m.sender)]) return false;
         x = m.send_interval;
         changed = true;
@@ -51,7 +53,7 @@ bool max_fixpoint(const Pattern& p, GlobalCkpt& g, const std::vector<bool>& pinn
     for (const Message& m : p.messages()) {
       const auto x = g.indices[static_cast<std::size_t>(m.sender)];
       auto& y = g.indices[static_cast<std::size_t>(m.receiver)];
-      if (m.send_interval > x && m.deliver_interval <= y) {
+      if (m.send_interval > x && m.deliver_interval <= y) [[unlikely]] {
         if (pinned[static_cast<std::size_t>(m.receiver)]) return false;
         y = m.deliver_interval - 1;
         changed = true;

@@ -44,6 +44,7 @@ OnlineEngine::OnlineEngine(const EngineOptions& options)
   proc_pub_ = std::make_unique<PubProc[]>(n);
   rc_.node_ids.resize(n);
   rc_.durable_snap.assign(n, 0);
+  rc_.frontier_snap.assign(n, -1);
   bootstrap_processes();
   if constexpr (kAuditsEnabled) {
     // The shadow is keep-all, so it never builds a shadow of its own.
@@ -58,8 +59,7 @@ void OnlineEngine::bootstrap_processes() {
   for (ProcessId p = 0; p < num_processes(); ++p) {
     auto& ps = state_[static_cast<std::size_t>(p)];
     ps.pending.assign(n, 0);
-    ps.last_node = next_node_++;  // the implicit initial C_{p,0}
-    node_log_.push_back(CkptId{p, 0});
+    ps.last_node = log_node(CkptId{p, 0});  // the implicit initial C_{p,0}
     node_ids_[static_cast<std::size_t>(p)].ids.push_back(ps.last_node);
   }
   publish_all();  // own TDV entries are already 1 (interval I_{p,1})
@@ -108,7 +108,6 @@ void OnlineEngine::reset(const EngineOptions& options) {
     t.base = 0;
   }
   summary_nodes_.assign(n, -1);
-  next_node_ = 0;
   events_since_compact_ = 0;
   events_since_mem_probe_ = 0;
   deferred_publish_ = false;
@@ -160,7 +159,6 @@ void OnlineEngine::reset(const EngineOptions& options) {
     const MutexLock reader_lock(rc_.mu);
     rc_.reach.reset(retention_.enabled ? retention_.max_pooled_reach_rows
                                        : 0);
-    rc_.node_ckpt.clear();
     rc_.node_ids.resize(n);
     for (auto& t : rc_.node_ids) {
       t.ids.clear();
@@ -169,6 +167,7 @@ void OnlineEngine::reset(const EngineOptions& options) {
     rc_.nodes_consumed = 0;
     rc_.edges_consumed = 0;
     rc_.durable_snap.assign(n, 0);
+    rc_.frontier_snap.assign(n, -1);
     rc_.recovery_memo_valid = false;
     // rc_.recovery_sweeps survives: it is a cumulative metrics counter.
   }
@@ -245,6 +244,7 @@ void OnlineEngine::publish_proc(ProcessId p) {
   PubProc& pub = proc_pub_[static_cast<std::size_t>(p)];
   pub.durable.store(ps.durable, std::memory_order_relaxed);
   pub.open_retained.store(ps.open_retained, std::memory_order_relaxed);
+  pub.frontier.store(ps.frontier, std::memory_order_relaxed);
   // pub.horizon is written only by compact_locked()/reset(): the horizon
   // moves at compaction, never per event.
 }
@@ -282,6 +282,9 @@ void OnlineEngine::audit_published_state() const {
     RDT_AUDIT(proc_pub_[j].open_retained.load(std::memory_order_relaxed) ==
                   ps.open_retained,
               "published open-interval event count diverged");
+    RDT_AUDIT(proc_pub_[j].frontier.load(std::memory_order_relaxed) ==
+                  ps.frontier,
+              "published frontier node diverged");
     RDT_AUDIT(proc_pub_[j].horizon.load(std::memory_order_relaxed) ==
                   node_ids_[j].base,
               "published retention horizon diverged from the id table base");
@@ -297,14 +300,34 @@ void OnlineEngine::audit_published_state() const {
 void OnlineEngine::ensure_frontier(ProcessId p) {
   auto& ps = state_[static_cast<std::size_t>(p)];
   if (ps.frontier != -1) return;
-  ps.frontier = next_node_++;
-  node_log_.push_back(CkptId{p, ps.durable + 1});
+  ps.frontier = log_node(CkptId{p, ps.durable + 1});
   // The process edge C_{p,durable} -> C_{p,durable+1}. After a compaction
   // that evicted C_{p,durable} itself (line == durable), last_node IS the
   // process's summary node and the edge is the collapsed stand-in.
-  edge_log_.push_back(EdgeRec{static_cast<std::uint32_t>(ps.last_node),
-                              static_cast<std::uint32_t>(ps.frontier) << 1});
+  log_edge(ps.last_node, static_cast<std::uint32_t>(ps.frontier) << 1);
+  publish_proc(p);
   bump(recovery_epoch_, std::uint64_t{1});
+}
+
+int OnlineEngine::log_node(const CkptId& c) {
+  node_log_.append([&](NodeRec& slot) {
+    slot.ckpt = c;
+    slot.out_head.store(kNoEdge, std::memory_order_relaxed);
+  });
+  return static_cast<int>(node_log_.size()) - 1;
+}
+
+void OnlineEngine::log_edge(int from, std::uint32_t enc) {
+  const auto index = static_cast<std::uint32_t>(edge_log_.size());
+  std::atomic<std::uint32_t>& head =
+      node_log_.writable(static_cast<std::size_t>(from)).out_head;
+  edge_log_.append([&](EdgeRec& slot) {
+    slot = EdgeRec{static_cast<std::uint32_t>(from), enc,
+                   head.load(std::memory_order_relaxed)};
+    // Linked before the edge is counted: a reader whose snapshot counts
+    // the edge finds it on the chain.
+    head.store(index, std::memory_order_release);
+  });
 }
 
 int OnlineEngine::node_of(const CkptId& c) const {
@@ -429,9 +452,7 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   } else {
     tail = node_of({sender, ms.send_interval});
   }
-  edge_log_.push_back(
-      EdgeRec{static_cast<std::uint32_t>(tail),
-              (static_cast<std::uint32_t>(pr.frontier) << 1) | 1u});
+  log_edge(tail, (static_cast<std::uint32_t>(pr.frontier) << 1) | 1u);
   bump(recovery_epoch_, std::uint64_t{1});
 
   clocks_[static_cast<std::size_t>(receiver)].tick(receiver);
@@ -672,17 +693,18 @@ bool OnlineEngine::compact() {
 bool OnlineEngine::compact_locked(long long min_evictable) {
   const auto n = static_cast<std::size_t>(num_processes());
 
-  // Phase 1: bring the reader graph fully current and run one recovery
-  // sweep on it (memoized — a subsequent recovery_line() at this epoch is
-  // free). Readers may interleave before phase 2; they see the pre-compact
-  // graph, whose answers are identical.
+  // Phase 1: one recovery sweep over the whole logs (memoized — a
+  // subsequent recovery_line() at this epoch is free). Readers may
+  // interleave before phase 2; they see the pre-compact graph, whose
+  // answers are identical.
   RecoveryOutcome outcome;
   {
     const MutexLock reader_lock(rc_.mu);
-    catch_up_reader(node_log_.size(), edge_log_.size());
-    std::vector<CkptIndex>& durable_snap = rc_.durable_snap;
-    for (std::size_t p = 0; p < n; ++p) durable_snap[p] = state_[p].durable;
-    outcome = recovery_sweep_locked();
+    for (std::size_t p = 0; p < n; ++p) {
+      rc_.durable_snap[p] = state_[p].durable;
+      rc_.frontier_snap[p] = state_[p].frontier;
+    }
+    outcome = recovery_sweep_locked(node_log_.size(), edge_log_.size());
     rc_.recovery_memo = outcome;
     rc_.recovery_memo_epoch = recovery_epoch_.load(std::memory_order_relaxed);
     rc_.recovery_memo_valid = true;
@@ -740,8 +762,13 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
     // closed (no retained tail can point into it), so a dropped edge's tail
     // is always evicted too, and a kept edge's tail is either retained or
     // collapses onto a summary.
+    // Out-edge chains are relinked as the kept edges are re-appended.
     const std::size_t old_nodes = node_log_.size();
     const std::size_t old_edges = edge_log_.size();
+    std::vector<CkptId> old_node_list;
+    old_node_list.reserve(old_nodes);
+    for (std::size_t u = 0; u < old_nodes; ++u)
+      old_node_list.push_back(node_log_[u].ckpt);
     std::vector<EdgeRec> old_edge_list;
     old_edge_list.reserve(old_edges);
     for (std::size_t i = 0; i < old_edges; ++i)
@@ -749,22 +776,16 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
 
     std::vector<int> remap(old_nodes, -1);
     node_log_.reset();
-    for (ProcessId p = 0; p < num_processes(); ++p) {
-      summary_nodes_[static_cast<std::size_t>(p)] = p;
-      node_log_.push_back(CkptId{p, -1});
-    }
-    int next = num_processes();
+    for (ProcessId p = 0; p < num_processes(); ++p)
+      summary_nodes_[static_cast<std::size_t>(p)] = log_node(CkptId{p, -1});
     for (std::size_t u = 0; u < old_nodes; ++u) {
-      const CkptId c = rc_.node_ckpt[u];
+      const CkptId c = old_node_list[u];
       if (c.index >= 0 &&
-          c.index > outcome.line.indices[static_cast<std::size_t>(c.process)]) {
-        remap[u] = next++;
-        node_log_.push_back(c);
-      } else {
+          c.index > outcome.line.indices[static_cast<std::size_t>(c.process)])
+        remap[u] = log_node(c);
+      else
         remap[u] = c.process;  // fold onto the process's summary node
-      }
     }
-    next_node_ = next;
     node_log_.release_unused_chunks();
 
     edge_log_.reset();
@@ -774,10 +795,8 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
         ++dropped_edges;  // head evicted, and with it the whole edge
         continue;
       }
-      edge_log_.push_back(
-          EdgeRec{static_cast<std::uint32_t>(
-                      remap[static_cast<std::size_t>(e.from)]),
-                  (static_cast<std::uint32_t>(head) << 1) | (e.enc & 1u)});
+      log_edge(remap[static_cast<std::size_t>(e.from)],
+               (static_cast<std::uint32_t>(head) << 1) | (e.enc & 1u));
     }
     edge_log_.release_unused_chunks();
 
@@ -795,35 +814,19 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
       if (ps.frontier != -1)
         ps.frontier = remap[static_cast<std::size_t>(ps.frontier)];
       proc_pub_[p].horizon.store(new_base, std::memory_order_relaxed);
+      proc_pub_[p].frontier.store(ps.frontier, std::memory_order_relaxed);
     }
 
-    // (5) Reader cache rebuild over the new logs; the recovery memo stays
-    // valid — eviction changes no sweep (the epoch was not bumped).
-    const std::size_t new_nodes = node_log_.size();
-    const std::size_t new_edges = edge_log_.size();
+    // (5) Empty zreach's closure cache; the next zreach() replays the
+    // retained logs into it. The recovery memo stays valid — eviction
+    // changes no sweep (the epoch was not bumped).
     rc_.reach.reset(retention_.max_pooled_reach_rows);
-    rc_.node_ckpt.clear();
     for (std::size_t p = 0; p < n; ++p) {
       rc_.node_ids[p].ids.clear();
       rc_.node_ids[p].base = outcome.line.indices[p] + 1;
     }
-    for (std::size_t i = 0; i < new_nodes; ++i) {
-      const CkptId c = node_log_[i];
-      const int id = rc_.reach.add_node();
-      RDT_ASSERT(id == static_cast<int>(i));
-      rc_.node_ckpt.push_back(c);
-      if (c.index < 0) continue;  // summary nodes have no table entry
-      NodeIdTable& t = rc_.node_ids[static_cast<std::size_t>(c.process)];
-      RDT_ASSERT(c.index == t.base + static_cast<CkptIndex>(t.ids.size()));
-      t.ids.push_back(id);
-    }
-    for (std::size_t i = 0; i < new_edges; ++i) {
-      const EdgeRec e = edge_log_[i];
-      rc_.reach.add_edge(static_cast<int>(e.from),
-                         static_cast<int>(e.enc >> 1), (e.enc & 1u) != 0);
-    }
-    rc_.nodes_consumed = new_nodes;
-    rc_.edges_consumed = new_edges;
+    rc_.nodes_consumed = 0;
+    rc_.edges_consumed = 0;
 
     bump(compactions_, 1LL);
     bump(evicted_ckpts_, evictable);
@@ -890,7 +893,8 @@ void OnlineEngine::refresh_resident_bytes() {
   std::size_t reader = 0;
   {
     const MutexLock reader_lock(rc_.mu);
-    reader = rc_.reach.resident_bytes() + mem::vec_bytes(rc_.node_ckpt);
+    reader = rc_.reach.resident_bytes() + rc_.visited.capacity_bytes() +
+             mem::vec_bytes(rc_.stack);
     for (const auto& t : rc_.node_ids) reader += mem::vec_bytes(t.ids);
   }
   resident_bytes_.store(feeder_resident_bytes() + reader,
@@ -992,18 +996,14 @@ StatsResult OnlineEngine::stats() const {
 }
 
 // ---------------------------------------------------------------------------
-// Heavy queries: reader-side cache under rc_.mu.
+// Heavy queries: reader-side state under rc_.mu.
 
 void OnlineEngine::catch_up_reader(std::size_t nodes,
                                    std::size_t edges) const {
   for (; rc_.nodes_consumed < nodes; ++rc_.nodes_consumed) {
-    const CkptId c = node_log_[rc_.nodes_consumed];
+    const CkptId c = node_log_[rc_.nodes_consumed].ckpt;
     const int id = rc_.reach.add_node();
-    rc_.node_ckpt.push_back(c);
-    // Summary nodes (index -1) enter the cache only through the compaction
-    // rebuild, which installs the tables directly — but tolerate them here
-    // so the replay path has one invariant, not two.
-    if (c.index < 0) continue;
+    if (c.index < 0) continue;  // summary nodes have no table entry
     auto& t = rc_.node_ids[static_cast<std::size_t>(c.process)];
     // Per-process node indexes appear consecutively in the log (C_{p,0},
     // then each successive frontier), so the id table needs no gaps.
@@ -1051,36 +1051,61 @@ ZreachResult OnlineEngine::zreach(const CkptId& from, const CkptId& to) const {
   return ZreachResult::make(rc_.reach.msg_reach(a.node, b.node));
 }
 
-RecoveryOutcome OnlineEngine::recovery_sweep_locked() const {
+RecoveryOutcome OnlineEngine::recovery_sweep_locked(std::size_t nodes,
+                                                    std::size_t edges) const {
   RDT_TRACE_SPAN("online", "recovery_sweep");
   const auto n = static_cast<std::size_t>(num_processes());
 
   // Wang's rollback propagation from the frontier seeds: restarting P_i at
   // its last durable checkpoint invalidates everything R-reachable from
-  // C_{i,durable+1} (when that interval has opened — visible to the reader
-  // as one table entry beyond the durable index).
-  std::vector<int> seeds;
-  for (std::size_t p = 0; p < n; ++p) {
-    const NodeIdTable& t = rc_.node_ids[p];
-    if (t.base + static_cast<CkptIndex>(t.ids.size()) ==
-        rc_.durable_snap[p] + 2)
-      seeds.push_back(t.ids.back());
-  }
+  // C_{i,durable+1}, when that interval has opened.
+  std::vector<int>& seeds = rc_.seeds;
+  seeds.clear();
+  for (const int f : rc_.frontier_snap)
+    if (f >= 0) seeds.push_back(f);
 
-  std::vector<CkptIndex> min_invalid(n, std::numeric_limits<CkptIndex>::max());
   // Aliases bound under rc_.mu for the propagate_rollback callbacks (the
   // lambda-vs-TSA idiom from util/thread_annotations.hpp).
-  const IncrementalReach& reach = rc_.reach;
-  const std::vector<CkptId>& node_ckpt = rc_.node_ckpt;
+  std::vector<CkptIndex>& min_invalid = rc_.min_invalid;
+  min_invalid.assign(n, std::numeric_limits<CkptIndex>::max());
+  const auto invalidate = [&](int u) {
+    const CkptId c = node_log_[static_cast<std::size_t>(u)].ckpt;
+    if (c.index < 0) return;  // summary nodes have no in-edges; unreachable
+    CkptIndex& m = min_invalid[static_cast<std::size_t>(c.process)];
+    m = std::min(m, c.index);
+  };
+  rc_.visited.clear();
   propagate_rollback(
-      rc_.scratch, reach.num_nodes(), seeds,
-      [&](int u, auto&& emit) { reach.for_each_successor(u, emit); },
-      [&](int u) {
-        const CkptId c = node_ckpt[static_cast<std::size_t>(u)];
-        if (c.index < 0) return;  // summary nodes have no in-edges; unreachable
-        CkptIndex& m = min_invalid[static_cast<std::size_t>(c.process)];
-        m = std::min(m, c.index);
-      });
+      rc_.visited, rc_.stack, seeds,
+      [&](int u, auto&& emit) {
+        // The tail's out-edges, newest first. Edges the snapshot does not
+        // count (appended since) are skipped; their prev links are older.
+        for (std::uint32_t e = node_log_[static_cast<std::size_t>(u)]
+                                   .out_head.load(std::memory_order_acquire);
+             e != kNoEdge;) {
+          const EdgeRec& rec = edge_log_[e];
+          if (e < edges) emit(static_cast<int>(rec.enc >> 1));
+          e = rec.prev;
+        }
+      },
+      invalidate);
+
+  if constexpr (kAuditsEnabled) {
+    // Oracle: the same sweep over zreach's independently built adjacency.
+    catch_up_reader(nodes, edges);
+    const std::vector<CkptIndex> in_place = min_invalid;
+    min_invalid.assign(n, std::numeric_limits<CkptIndex>::max());
+    const IncrementalReach& reach = rc_.reach;
+    DenseVisited visited(reach.num_nodes());
+    std::vector<int> stack;
+    propagate_rollback(
+        visited, stack, seeds,
+        [&](int u, auto&& emit) { reach.for_each_successor(u, emit); },
+        invalidate);
+    RDT_AUDIT(in_place == min_invalid,
+              "in-place recovery sweep diverged from the replayed-graph "
+              "oracle");
+  }
 
   RecoveryOutcome out;
   out.line.indices.resize(n);
@@ -1112,22 +1137,24 @@ RecoveryResult OnlineEngine::recovery_line() const {
     std::size_t nodes = 0, edges = 0;
   };
   // TSA analyzes the lambda as a separate function that does not hold
-  // rc_.mu; bind the scratch vector under the lock and capture the alias
+  // rc_.mu; bind the scratch vectors under the lock and capture the aliases
   // (the house idiom from util/thread_annotations.hpp).
   std::vector<CkptIndex>& durable_snap = rc_.durable_snap;
+  std::vector<int>& frontier_snap = rc_.frontier_snap;
   const Snap snap = read_stable([&] {
     Snap s;
     s.epoch = recovery_epoch_.load(std::memory_order_relaxed);
     s.nodes = node_log_.size_published();
     s.edges = edge_log_.size_published();
-    for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t p = 0; p < n; ++p) {
       durable_snap[p] = proc_pub_[p].durable.load(std::memory_order_relaxed);
+      frontier_snap[p] = proc_pub_[p].frontier.load(std::memory_order_relaxed);
+    }
     return s;
   });
   if (rc_.recovery_memo_valid && rc_.recovery_memo_epoch == snap.epoch)
     return RecoveryResult::make(rc_.recovery_memo);
-  catch_up_reader(snap.nodes, snap.edges);
-  const RecoveryOutcome out = recovery_sweep_locked();
+  const RecoveryOutcome out = recovery_sweep_locked(snap.nodes, snap.edges);
   rc_.recovery_memo = out;
   rc_.recovery_memo_epoch = snap.epoch;
   rc_.recovery_memo_valid = true;

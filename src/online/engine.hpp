@@ -29,8 +29,9 @@
 //   * R-graph  — nodes are created lazily: C_{p,0} up front, then the
 //                *frontier* node C_{p,durable+1} on the first event of each
 //                open interval; nodes and edges go into append-only
-//                published logs that reader threads replay into their own
-//                IncrementalReach (rgraph/incremental.hpp).
+//                published logs. Each edge record links the previous edge
+//                with the same tail, and each node record holds the head of
+//                that out-edge chain, so readers walk successors in place.
 //   * RDT      — Wang's MM characterization (the minimal one: every
 //                two-message chain across a non-causal junction must be
 //                doubled), evaluated per junction at the moment both
@@ -42,7 +43,13 @@
 //                pending starts the live TDV has not yet covered, so the
 //                RDT verdict is two counter reads.
 //   * Recovery — one propagate_rollback() sweep (recovery/rollback.hpp)
-//                on the reader-side graph, memoized per graph epoch.
+//                straight over the published logs, seeded at the frontier
+//                nodes and memoized per graph epoch. It touches only the
+//                part of the graph it reaches, however many edges were
+//                committed since the last query.
+//   * Z-paths  — zreach() keeps closure rows in a reader-side
+//                IncrementalReach (rgraph/incremental.hpp), caught up
+//                lazily from the logs on each zreach() call only.
 //
 // Amortized cost is O(1) per event in history length: every closure row
 // consumes every edge once, junction work is per junction, and all other
@@ -62,10 +69,14 @@
 //     live_clock are wait-free apart from that retry;
 //     events_consumed/current_interval are single atomic loads.
 //   * The heavy queries (recovery_line, zreach) serialize on a separate
-//     reader-side mutex guarding a lazily caught-up closure cache and the
-//     memoized rollback sweep; they snapshot only O(n) counters under the
-//     seqlock and then compute on immutable log prefixes, so the feeder is
-//     again never blocked — a query observes the engine as of its snapshot.
+//     reader-side mutex guarding their scratch, the memoized rollback sweep
+//     and zreach's lazily caught-up closure cache. They snapshot only O(n)
+//     values under the seqlock (log counts, durable indexes, frontier node
+//     ids) and then compute on the log prefixes those counts name, so the
+//     feeder is again never blocked — a query observes the engine as of
+//     its snapshot. recovery_line walks the out-edge chains in place: a
+//     chain head is an acquire load, and edges at or beyond the snapshot's
+//     count are skipped, so the walk sees exactly the snapshot's graph.
 //   * A query overlapping a feed() batch retries until the batch commits;
 //     batches bound the retry window, so prefer moderate batch sizes when
 //     readers poll latency-sensitively.
@@ -317,10 +328,24 @@ class OnlineEngine final : public PatternListener {
     std::vector<std::pair<ProcessId, CkptIndex>> deferred;
   };
 
-  // R-graph edge as logged for readers: tail node and (head << 1) | message.
+  // End of an out-edge chain.
+  static constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
+
+  // R-graph edge as logged for readers: tail node, (head << 1) | message,
+  // and the log index of the tail's previous out-edge (kNoEdge if none).
   struct EdgeRec {
     std::uint32_t from = 0;
     std::uint32_t enc = 0;
+    std::uint32_t prev = kNoEdge;
+  };
+
+  // R-graph node as logged for readers: its checkpoint (index -1 marks a
+  // per-process summary node) and the log index of its newest out-edge.
+  // out_head is the one field the feeder rewrites after publication: it is
+  // stored with release before the edge is counted, loaded with acquire.
+  struct NodeRec {
+    CkptId ckpt;
+    std::atomic<std::uint32_t> out_head{kNoEdge};
   };
 
   // Per-process atomic mirrors of the feeder fields queries read.
@@ -330,6 +355,9 @@ class OnlineEngine final : public PatternListener {
     // first_retained(p): smallest retained checkpoint index (the retention
     // horizon). 0 until a compaction advances it.
     std::atomic<CkptIndex> horizon{0};
+    // Engine node of C_{p,durable+1}, -1 until that interval opens: the
+    // recovery sweep's seed.
+    std::atomic<int> frontier{-1};
   };
 
   // [p]: engine node of C_{p,x} at ids[x - base]; base is the retention
@@ -366,20 +394,26 @@ class OnlineEngine final : public PatternListener {
   template <typename Fn>
   auto read_stable(Fn&& fn) const -> decltype(fn());
 
-  // Lazily caught-up reader-side view of the R-graph plus the memoized
-  // rollback sweep. Guarded by its own mutex: heavy queries serialize with
-  // each other here, never with the feeder.
+  // Reader-side state of the heavy queries: zreach's lazily caught-up
+  // closure cache, the recovery sweep's scratch and its memo. Guarded by
+  // its own mutex: heavy queries serialize with each other here, never
+  // with the feeder.
   struct ReaderCache {
     AnnotatedMutex mu;
+    // zreach's view of the R-graph (also the recovery oracle in
+    // RDT_AUDITS builds); recovery_line never reads it.
     IncrementalReach reach RDT_GUARDED_BY(mu);
-    // engine node -> checkpoint (index -1 marks a per-process summary node)
-    std::vector<CkptId> node_ckpt RDT_GUARDED_BY(mu);
     std::vector<NodeIdTable> node_ids RDT_GUARDED_BY(mu);
     std::size_t nodes_consumed RDT_GUARDED_BY(mu) = 0;
     std::size_t edges_consumed RDT_GUARDED_BY(mu) = 0;
-    // scratch for snapshots
+    // The recovery sweep's snapshot and scratch, all sized by the process
+    // count or the sweep's reach, never by the graph.
     std::vector<CkptIndex> durable_snap RDT_GUARDED_BY(mu);
-    RollbackScratch scratch RDT_GUARDED_BY(mu);
+    std::vector<int> frontier_snap RDT_GUARDED_BY(mu);
+    std::vector<int> seeds RDT_GUARDED_BY(mu);
+    std::vector<CkptIndex> min_invalid RDT_GUARDED_BY(mu);
+    SparseVisited visited RDT_GUARDED_BY(mu);
+    std::vector<int> stack RDT_GUARDED_BY(mu);
     RecoveryOutcome recovery_memo RDT_GUARDED_BY(mu);
     std::uint64_t recovery_memo_epoch RDT_GUARDED_BY(mu) = 0;
     bool recovery_memo_valid RDT_GUARDED_BY(mu) = false;
@@ -414,6 +448,10 @@ class OnlineEngine final : public PatternListener {
   std::size_t feeder_resident_bytes() const RDT_REQUIRES(feed_mu_);
 
   void ensure_frontier(ProcessId p) RDT_REQUIRES(feed_mu_);
+  // Append an R-graph node; returns its engine id.
+  int log_node(const CkptId& c) RDT_REQUIRES(feed_mu_);
+  // Append an R-graph edge and link it into its tail's out-edge chain.
+  void log_edge(int from, std::uint32_t enc) RDT_REQUIRES(feed_mu_);
   int node_of(const CkptId& c) const RDT_REQUIRES(feed_mu_);  // feeder side
   // Verdict for one MM junction: the two-message chain entering target's
   // process from C_{k,si} must be trackable at `target`.
@@ -433,7 +471,8 @@ class OnlineEngine final : public PatternListener {
   // RDT_AUDITS-only: recompute every mirror from the feeder state.
   void audit_published_state() const RDT_REQUIRES(feed_mu_);
 
-  // Reader side; caller holds rc_.mu.
+  // Reader side; caller holds rc_.mu. Replays log entries into zreach's
+  // closure cache.
   void catch_up_reader(std::size_t nodes, std::size_t edges) const
       RDT_REQUIRES(rc_.mu);
   // Horizon-aware checkpoint-id resolution against the reader tables.
@@ -442,9 +481,13 @@ class OnlineEngine final : public PatternListener {
     int node = -1;
   };
   NodeLookup reader_lookup(const CkptId& c) const RDT_REQUIRES(rc_.mu);
-  // One rollback sweep over the caught-up reader graph using
-  // rc_.durable_snap (caller fills it); bumps rc_.recovery_sweeps.
-  RecoveryOutcome recovery_sweep_locked() const RDT_REQUIRES(rc_.mu);
+  // One rollback sweep over the first `edges` logged edges, seeded from
+  // rc_.frontier_snap and bounded by rc_.durable_snap (caller fills both);
+  // bumps rc_.recovery_sweeps. `nodes` is the matching node count, read
+  // only by the RDT_AUDITS oracle.
+  RecoveryOutcome recovery_sweep_locked(std::size_t nodes,
+                                        std::size_t edges) const
+      RDT_REQUIRES(rc_.mu);
 
   mutable AnnotatedMutex feed_mu_;  // serializes feeders (on_* / feed)
 
@@ -476,7 +519,6 @@ class OnlineEngine final : public PatternListener {
   // but it gives late edges (a delivery whose send interval was evicted)
   // and the collapsed in-edges of retained nodes a well-formed tail.
   std::vector<int> summary_nodes_ RDT_GUARDED_BY(feed_mu_);
-  int next_node_ RDT_GUARDED_BY(feed_mu_) = 0;
   // Events applied since the last compaction attempt / resident probe.
   long long events_since_compact_ RDT_GUARDED_BY(feed_mu_) = 0;
   long long events_since_mem_probe_ RDT_GUARDED_BY(feed_mu_) = 0;
@@ -493,7 +535,7 @@ class OnlineEngine final : public PatternListener {
   // Bumped whenever the R-graph or the durable frontier changes — the
   // recovery memo's validity key.
   std::atomic<std::uint64_t> recovery_epoch_{0};
-  PublishedLog<CkptId> node_log_;   // engine node -> checkpoint, append order
+  PublishedLog<NodeRec> node_log_;  // engine node -> checkpoint, append order
   PublishedLog<EdgeRec> edge_log_;
   std::unique_ptr<std::atomic<CkptIndex>[]> tdv_pub_;      // n*n, row-major
   std::unique_ptr<std::atomic<std::int64_t>[]> clock_pub_; // n*n, row-major

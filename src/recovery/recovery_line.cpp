@@ -61,9 +61,10 @@ GlobalCkpt recovery_line_rgraph(const Pattern& p, const GlobalCkpt& upper) {
   std::vector<CkptIndex> min_invalid(
       static_cast<std::size_t>(p.num_processes()),
       std::numeric_limits<CkptIndex>::max());
-  RollbackScratch scratch;
+  DenseVisited visited(p.total_ckpts());
+  std::vector<int> stack;
   propagate_rollback(
-      scratch, p.total_ckpts(), seeds,
+      visited, stack, seeds,
       [&](int u, auto&& emit) {
         for (const int v : graph.successors(u)) emit(v);
       },

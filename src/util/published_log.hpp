@@ -1,8 +1,9 @@
 // Append-only single-writer log with lock-free readers.
 //
 // The online engine's feeder thread appends R-graph nodes and edges here;
-// any number of reader threads replay stable prefixes into their own caches
-// without ever blocking the feeder. Two properties make that safe:
+// any number of reader threads walk stable prefixes in place (or replay
+// them into their own caches) without ever blocking the feeder. Two
+// properties make that safe:
 //
 //  * Stable addresses. Storage is a spine of geometrically growing chunks
 //    (2^10, 2^11, ... entries), never reallocated, so an entry's address is
@@ -16,7 +17,8 @@
 //    under TSan.
 //
 // Contract: exactly ONE writer thread (external synchronization, e.g. the
-// engine's feed mutex); entries are immutable once published.
+// engine's feed mutex); entries are immutable once published, apart from
+// atomic fields the writer updates through writable().
 #pragma once
 
 #include <array>
@@ -83,12 +85,30 @@ class PublishedLog {
 
   // Writer only.
   void push_back(T v) {
+    append([&](T& slot) { slot = std::move(v); });
+  }
+
+  // Writer only: fill(slot) writes entry size() in place, then the entry is
+  // published. Two uses push_back cannot serve: entries with atomic fields
+  // (not assignable as a whole; fill must set every field, since a slot a
+  // reset() rewound still holds its old values), and a writer that links
+  // the new entry from elsewhere with its own release store — done inside
+  // fill, the link is visible to every reader that counts the entry.
+  template <typename Fill>
+  void append(Fill&& fill) {
     const Loc loc = locate(count_);
     auto& chunk = chunks_[loc.chunk];
     if (!chunk) chunk = std::make_unique<T[]>(capacity_of(loc.chunk));
-    chunk[loc.offset] = std::move(v);
+    fill(chunk[loc.offset]);
     ++count_;
     size_.store(count_, std::memory_order_release);
+  }
+
+  // Writer only, i < size(): mutable access to a published entry, for its
+  // atomic fields only — every other field stays immutable once published.
+  T& writable(std::size_t i) {
+    const Loc loc = locate(i);
+    return chunks_[loc.chunk][loc.offset];
   }
 
  private:

@@ -198,6 +198,63 @@ TEST(CompactionEquivalence, ClientServerEnvAllProtocols) {
   }
 }
 
+// compact() empties zreach's closure cache instead of rebuilding it, and
+// the first query after the pass replays the retained logs lazily. Each
+// round warms the cache on the pre-compaction graph, compacts, and then
+// asks zreach first — nothing in between — over every process's retained
+// corners (horizon, durable, frontier), then recovery_line, against a
+// keep-all twin.
+TEST(CompactionEquivalence, ZreachRightAfterCompactionCatchesUpLazily) {
+  RandomEnvConfig cfg;
+  cfg.num_processes = 4;
+  cfg.duration = 40.0;
+  cfg.basic_ckpt_mean = 4.0;
+  cfg.seed = 29;
+  const std::vector<StreamEvent> ops =
+      record_replay(random_environment(cfg), ProtocolKind::kBhmr);
+  const int n = cfg.num_processes;
+  OnlineEngine compacted(EngineOptions{n, eager_manual()});
+  OnlineEngine keepall(EngineOptions{n});
+  std::vector<CkptIndex> durable(static_cast<std::size_t>(n), 0);
+
+  const std::span<const StreamEvent> all(ops);
+  constexpr std::size_t kRounds = 6;
+  long long evicted = 0;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    const std::size_t begin = all.size() * r / kRounds;
+    const std::size_t end = all.size() * (r + 1) / kRounds;
+    compacted.feed(all.subspan(begin, end - begin));
+    keepall.feed(all.subspan(begin, end - begin));
+    for (std::size_t i = begin; i < end; ++i)
+      if (ops[i].kind == EventKind::kCheckpoint)
+        durable[static_cast<std::size_t>(ops[i].p)] = ops[i].index;
+    // Warm closure rows over the graph the compaction is about to rebuild.
+    for (ProcessId p = 0; p < n; ++p)
+      (void)compacted.zreach({p, compacted.first_retained(p)}, {0, 0});
+    compacted.compact();
+
+    std::vector<CkptId> corners;
+    for (ProcessId p = 0; p < n; ++p) {
+      const CkptIndex d = durable[static_cast<std::size_t>(p)];
+      const CkptIndex horizon = compacted.first_retained(p);
+      corners.push_back({p, horizon});
+      if (d > horizon) corners.push_back({p, d});
+      corners.push_back({p, d + 1});
+    }
+    for (const CkptId& a : corners)
+      for (const CkptId& b : corners)
+        ASSERT_EQ(compacted.zreach(a, b), keepall.zreach(a, b))
+            << "round " << r << ": zreach(" << a << ", " << b << ")";
+    const RecoveryOutcome got = compacted.recovery_line().value;
+    const RecoveryOutcome want = keepall.recovery_line().value;
+    EXPECT_EQ(got.line, want.line) << "round " << r;
+    EXPECT_EQ(got.rollback_intervals, want.rollback_intervals)
+        << "round " << r;
+    evicted = compacted.retention_stats().evicted_checkpoints;
+  }
+  EXPECT_GT(evicted, 0);
+}
+
 // The horizon boundary, pinned exactly: after a compaction the checkpoint
 // AT the recovery line is evicted (its Z-paths may run through the evicted
 // region), line+1 is the first retained index, and an id past the frontier

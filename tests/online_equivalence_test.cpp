@@ -8,10 +8,13 @@
 // TSan-covered concurrent-reader cases (OnlineConcurrency.*).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ccp/builder.hpp"
@@ -510,28 +513,96 @@ TEST(OnlineConcurrency, QueriesDuringFeed) {
       ops.size());
 }
 
+// A recovery answer as the commit check compares it: the line plus each
+// process's rollback distance, which also pins the durable indexes the
+// sweep was bounded by (they move at every checkpoint, the line seldom).
+using LineKey = std::pair<std::vector<CkptIndex>, std::vector<CkptIndex>>;
+
+LineKey line_key(const RecoveryOutcome& rec) {
+  return {rec.line.indices, rec.rollback_intervals};
+}
+
+// The recovery answer of every batch-commit state of `all` fed in
+// `batch`-event spans, the empty stream's included, from a sequential
+// keep-all twin.
+std::set<LineKey> commit_lines(int num_processes,
+                               std::span<const StreamEvent> all,
+                               std::size_t batch) {
+  OnlineEngine twin(EngineOptions{num_processes});
+  std::set<LineKey> lines;
+  RecoveryOutcome last = twin.recovery_line().value;
+  lines.insert(line_key(last));
+  for (std::size_t i = 0; i < all.size(); i += batch) {
+    twin.feed(all.subspan(i, std::min(batch, all.size() - i)));
+    const RecoveryOutcome rec = twin.recovery_line().value;
+    EXPECT_TRUE(leq(last.line, rec.line))
+        << "the twin's recovery line moved back";
+    lines.insert(line_key(rec));
+    last = rec;
+  }
+  return lines;
+}
+
+// What concurrent readers saw of recovery_line() while the feeder ran.
+// Every answer must be the answer of some batch-commit state, and one
+// reader's successive lines never move backwards (the line is monotone):
+// a sweep racing the feeder only ever sees committed graphs.
+class LineWatch {
+ public:
+  explicit LineWatch(std::set<LineKey> lines) : lines_(std::move(lines)) {}
+
+  // Checks one answer against the same reader's previous line (`last`,
+  // empty before its first answer) and makes its line the new `last`.
+  void observe(const RecoveryOutcome& rec, GlobalCkpt& last) {
+    if (!lines_.contains(line_key(rec)))
+      foreign_.fetch_add(1, std::memory_order_relaxed);
+    if (!last.indices.empty() && !leq(last, rec.line))
+      backwards_.fetch_add(1, std::memory_order_relaxed);
+    last = rec.line;
+  }
+
+  void expect_clean() const {
+    EXPECT_EQ(foreign_.load(), 0)
+        << "readers saw recovery answers no batch commit produced";
+    EXPECT_EQ(backwards_.load(), 0)
+        << "a reader's successive recovery lines moved backwards";
+  }
+
+ private:
+  const std::set<LineKey> lines_;
+  std::atomic<long long> foreign_{0};
+  std::atomic<long long> backwards_{0};
+};
+
 // The seqlock torture case: one feeder streaming batches while FOUR reader
 // threads hammer every query — the wait-free ones (which retry under the
 // seqlock) and the heavy cached ones (which serialize on the reader mutex
 // only). Run under TSan in CI, this is the proof the read path takes no
-// lock the feeder holds; the end state must still be exact.
+// lock the feeder holds; every recovery answer a reader sees must be a
+// batch-commit answer, and the end state must still be exact.
 TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
-  cfg.duration = 60.0;
+  cfg.duration = 600.0;  // ~100 batch commits for readers to race
   cfg.basic_ckpt_mean = 8.0;
   cfg.seed = 11;
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
+  const std::span<const StreamEvent> all(ops);
+  constexpr std::size_t kBatch = 64;
+  LineWatch watch(commit_lines(cfg.num_processes, all, kBatch));
 
   OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
+  std::atomic<int> started{0};
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&engine, &done, t] {
+    readers.emplace_back([&engine, &done, &started, &watch, t] {
       long long sink = 0;
+      GlobalCkpt last;
       ProcessId p = static_cast<ProcessId>(t % engine.num_processes());
+      started.fetch_add(1, std::memory_order_release);
       while (!done.load(std::memory_order_acquire)) {
         sink += engine.is_rdt_so_far() ? 1 : 0;
         sink += engine.events_consumed();
@@ -541,7 +612,9 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
         const OnlineStats s = engine.stats().value;
         sink += s.events + s.checkpoints;
         if (t % 2 == 0) {
-          sink += engine.recovery_line().value.total_rollback;
+          const RecoveryOutcome rec = engine.recovery_line().value;
+          watch.observe(rec, last);
+          sink += rec.total_rollback;
           sink += engine.zreach({p, 0}, {0, 0}).value ? 1 : 0;
         }
         p = static_cast<ProcessId>((p + 1) % engine.num_processes());
@@ -550,12 +623,13 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
     });
   }
 
-  const std::span<const StreamEvent> all(ops);
-  constexpr std::size_t kBatch = 64;
+  // Start feeding only once every reader is polling.
+  while (started.load(std::memory_order_acquire) < 4) std::this_thread::yield();
   for (std::size_t i = 0; i < all.size(); i += kBatch)
     engine.feed(all.subspan(i, std::min(kBatch, all.size() - i)));
   done.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
+  watch.expect_clean();
 
   const std::vector<std::size_t> deliver_pos = deliver_positions(ops);
   expect_prefix_equivalence(
@@ -569,16 +643,20 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
 // the reader-cache under its mutex) while three reader threads hammer every
 // query — including zreach on ids that cross the moving retention horizon,
 // whose status may legitimately flip to kEvicted but must never tear or
-// return a guessed value. Run under TSan in CI; the retained end state must
-// still match a keep-all engine's.
+// return a guessed value. Run under TSan in CI; every recovery answer a
+// reader sees must be a batch-commit answer of a keep-all twin, and the
+// retained end state must still match a keep-all engine's.
 TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
-  cfg.duration = 60.0;
+  cfg.duration = 600.0;  // ~100 batch commits for readers to race
   cfg.basic_ckpt_mean = 4.0;
   cfg.seed = 19;
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
+  const std::span<const StreamEvent> all(ops);
+  constexpr std::size_t kBatch = 48;
+  LineWatch watch(commit_lines(cfg.num_processes, all, kBatch));
 
   RetentionPolicy policy;
   policy.enabled = true;
@@ -586,12 +664,15 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   policy.min_evictable_checkpoints = 1;
   OnlineEngine engine(EngineOptions{cfg.num_processes, policy});
   std::atomic<bool> done{false};
+  std::atomic<int> started{0};
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&engine, &done, t] {
+    readers.emplace_back([&engine, &done, &started, &watch, t] {
       long long sink = 0;
+      GlobalCkpt last;
       ProcessId p = static_cast<ProcessId>(t % engine.num_processes());
+      started.fetch_add(1, std::memory_order_release);
       while (!done.load(std::memory_order_acquire)) {
         sink += engine.is_rdt_so_far() ? 1 : 0;
         sink += engine.stats().value.checkpoints;
@@ -599,15 +680,16 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
         sink += engine.retention_stats().evicted_checkpoints;
         const ZreachResult z = engine.zreach({p, 0}, {0, 0});
         sink += z.ok() && z.value ? 1 : 0;
-        sink += engine.recovery_line().value.total_rollback;
+        const RecoveryOutcome rec = engine.recovery_line().value;
+        watch.observe(rec, last);
+        sink += rec.total_rollback;
         p = static_cast<ProcessId>((p + 1) % engine.num_processes());
       }
       EXPECT_GE(sink, 0);
     });
   }
 
-  const std::span<const StreamEvent> all(ops);
-  constexpr std::size_t kBatch = 48;
+  while (started.load(std::memory_order_acquire) < 3) std::this_thread::yield();
   std::size_t batches = 0;
   for (std::size_t i = 0; i < all.size(); i += kBatch) {
     engine.feed(all.subspan(i, std::min(kBatch, all.size() - i)));
@@ -616,6 +698,7 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   engine.compact();
   done.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
+  watch.expect_clean();
 
   // Retained-state answers still match a keep-all engine.
   OnlineEngine keepall(EngineOptions{cfg.num_processes});
