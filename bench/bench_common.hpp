@@ -1,13 +1,14 @@
 // Shared plumbing for rdt-bench and the standalone bench binaries: the
 // protocol set the papers' simulation study compares, the standard
-// environment presets, command-line parsing for the standalone binaries
-// (BenchArgs — each understands --seeds/--threads/--json/--trace the same
-// way), header banners, a formatter for mean ± 95% confidence cells,
-// and a machine-readable benchmark report (--json) with an optional
+// environment presets, one strict command-line parser for every bench
+// binary and rdt-bench (BenchArgs — each understands --seeds/--threads/
+// --json/--trace the same way), header banners, a formatter for mean ± 95%
+// confidence cells, and a machine-readable benchmark report (--json) with an optional
 // chrome://tracing span capture (--trace).
 #pragma once
 
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -18,7 +19,9 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -37,13 +40,17 @@
 namespace rdt::bench {
 
 // ---------------------------------------------------------------------------
-// Command line of the standalone binaries (rdt-bench validates its own, per
-// experiment). Each accepts the same core flags —
+// Command line of every bench binary and of rdt-bench. A binary declares
+// the flags it reads, and the command line may hold only `--flag value`
+// pairs of those. The core flags mean the same everywhere —
 //   --seeds N     sweep width (each binary picks its own default)
 //   --threads N   worker threads (defaults to the hardware concurrency)
 //   --json PATH   write the rdt-bench-v2 report
 //   --trace PATH  capture an observability session, write a chrome trace
-// — plus whatever experiment-specific flags it reads via flag_or().
+// An undeclared flag, a flag without a value, a stray word, or a number
+// that is malformed, out of int range or below the flag's minimum is a
+// usage error: ok() is false and main exits 2 (usage_error()), instead of
+// running with a value nobody asked for.
 // ---------------------------------------------------------------------------
 
 // All available cores: the default worker count. A sweep's results do not
@@ -52,33 +59,119 @@ inline int hardware_threads() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
+struct BenchFlag {
+  enum class Kind { kPath, kInt, kIntList };  // kIntList: comma-separated
+  std::string_view name;
+  Kind kind = Kind::kInt;
+  int min = 1;  // smallest accepted number (kInt, kIntList)
+};
+
+inline constexpr BenchFlag kSeedsFlag{"--seeds"};
+inline constexpr BenchFlag kThreadsFlag{"--threads"};
+inline constexpr BenchFlag kJsonFlag{"--json", BenchFlag::Kind::kPath};
+inline constexpr BenchFlag kTraceFlag{"--trace", BenchFlag::Kind::kPath};
+
 class BenchArgs {
  public:
-  BenchArgs(int argc, char** argv) : argc_(argc), argv_(argv) {}
-
-  int flag_or(const std::string& flag, int fallback) const {
-    const char* v = value_of(flag);
-    return v != nullptr ? std::atoi(v) : fallback;
+  // Parses argv[first..] against `flags`; `program` names the binary in
+  // messages.
+  BenchArgs(int argc, char** argv, std::string program, std::vector<BenchFlag> flags,
+            int first = 1)
+      : program_(std::move(program)), flags_(std::move(flags)), values_(flags_.size()) {
+    for (int i = first; i < argc && ok(); i += 2) {
+      const std::string_view arg = argv[i];
+      const auto f = find(arg);
+      if (!arg.starts_with("--")) {
+        error_ = program_ + ": unexpected argument '" + std::string(arg) + "'";
+      } else if (f == flags_.size()) {
+        error_ = program_ + " does not read " + std::string(arg);
+      } else if (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--")) {
+        error_ = program_ + ": " + std::string(arg) + " needs a value";
+      } else if (flags_[f].kind != BenchFlag::Kind::kPath && !ints(flags_[f], argv[i + 1])) {
+        const bool one = flags_[f].kind == BenchFlag::Kind::kInt;
+        error_ = program_ + ": " + std::string(arg) + " needs " +
+                 (one ? "an integer" : "comma-separated integers") + " >= " +
+                 std::to_string(flags_[f].min) + ", got '" + argv[i + 1] + "'";
+      } else {
+        values_[f] = argv[i + 1];
+      }
+    }
   }
-  std::string flag_or(const std::string& flag, std::string fallback) const {
-    const char* v = value_of(flag);
-    return v != nullptr ? std::string(v) : std::move(fallback);
+
+  bool ok() const { return error_.empty(); }
+  // What was wrong, naming the program; "" when ok().
+  const std::string& error() const { return error_; }
+
+  // Reports the usage error and the declared flags on stderr; returns
+  // main's exit code for it.
+  int usage_error() const {
+    std::cerr << error_ << "\nusage: " << program_;
+    for (const BenchFlag& f : flags_) {
+      std::cerr << " [" << f.name
+                << (f.kind == BenchFlag::Kind::kPath  ? " PATH]"
+                    : f.kind == BenchFlag::Kind::kInt ? " N]"
+                                                      : " N,N,...]");
+    }
+    std::cerr << '\n';
+    return 2;
   }
 
-  int seeds(int fallback) const { return flag_or("--seeds", fallback); }
-  int threads() const { return flag_or("--threads", hardware_threads()); }
-  std::string json_path() const { return flag_or("--json", std::string()); }
-  std::string trace_path() const { return flag_or("--trace", std::string()); }
+  int flag_or(std::string_view flag, int fallback) const {
+    const std::string& v = value(flag, BenchFlag::Kind::kInt);
+    return v.empty() ? fallback : ints(flags_[find(flag)], v)->front();
+  }
+  std::vector<int> flag_or(std::string_view flag, std::vector<int> fallback) const {
+    const std::string& v = value(flag, BenchFlag::Kind::kIntList);
+    return v.empty() ? std::move(fallback) : *ints(flags_[find(flag)], v);
+  }
+  std::string flag_or(std::string_view flag, std::string fallback) const {
+    const std::string& v = value(flag, BenchFlag::Kind::kPath);
+    return v.empty() ? std::move(fallback) : v;
+  }
+
+  int seeds(int fallback) const { return flag_or(kSeedsFlag.name, fallback); }
+  int threads() const { return flag_or(kThreadsFlag.name, hardware_threads()); }
+  std::string json_path() const { return flag_or(kJsonFlag.name, std::string()); }
+  std::string trace_path() const { return flag_or(kTraceFlag.name, std::string()); }
 
  private:
-  const char* value_of(const std::string& flag) const {
-    for (int i = 1; i + 1 < argc_; ++i)
-      if (argv_[i] == flag) return argv_[i + 1];
-    return nullptr;
+  std::size_t find(std::string_view flag) const {
+    std::size_t f = 0;
+    while (f < flags_.size() && flags_[f].name != flag) ++f;
+    return f;
   }
 
-  int argc_;
-  char** argv_;
+  // The flag's value, "" when absent. Reading a flag the binary did not
+  // declare, or as another kind, is a bug in the binary.
+  const std::string& value(std::string_view flag, BenchFlag::Kind kind) const {
+    const std::size_t f = find(flag);
+    if (f == flags_.size() || flags_[f].kind != kind)
+      throw std::logic_error(program_ + " reads undeclared flag " + std::string(flag));
+    return values_[f];
+  }
+
+  // Every number of `text` (one for kInt, one or more comma-separated for
+  // kIntList), or nullopt when one is malformed, out of range or below min.
+  static std::optional<std::vector<int>> ints(const BenchFlag& flag, std::string_view text) {
+    std::vector<int> out;
+    for (;;) {
+      const std::size_t comma = text.find(',');
+      const std::string_view part = text.substr(0, comma);
+      int v = 0;
+      const auto [end, ec] = std::from_chars(part.data(), part.data() + part.size(), v);
+      if (ec != std::errc() || end != part.data() + part.size() || v < flag.min)
+        return std::nullopt;
+      out.push_back(v);
+      if (comma == std::string_view::npos) return out;
+      if (flag.kind == BenchFlag::Kind::kInt) return std::nullopt;
+      text.remove_prefix(comma + 1);
+    }
+  }
+
+  std::string program_;
+  std::vector<BenchFlag> flags_;
+  std::vector<std::string> values_;  // [flag], "" when absent
+  std::string error_;
 };
 
 // ---------------------------------------------------------------------------

@@ -319,21 +319,28 @@ EqResult run_equivalence(int procs, int ckpt_every, int inflight,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args(argc, argv);
+  const BenchArgs args(argc, argv, "bench_longrun",
+                       {{"--events", BenchFlag::Kind::kInt, 10},
+                        {"--procs", BenchFlag::Kind::kInt, 2},
+                        {"--batch"},
+                        {"--ckpt-every"},
+                        {"--inflight"},
+                        {"--compact-every", BenchFlag::Kind::kInt, 0},
+                        {"--eq-events", BenchFlag::Kind::kInt, 10},
+                        {"--seed"},
+                        kJsonFlag,
+                        kTraceFlag});
+  if (!args.ok()) return args.usage_error();
   BenchReport report("longrun", args.json_path(), args.trace_path());
-  const long long events =
-      std::max(10LL, static_cast<long long>(args.flag_or("--events", 8000000)));
-  const int procs = std::max(2, args.flag_or("--procs", 8));
-  const std::size_t batch =
-      static_cast<std::size_t>(std::max(1, args.flag_or("--batch", 8192)));
-  const int ckpt_every = std::max(1, args.flag_or("--ckpt-every", 8));
-  const int inflight = std::max(1, args.flag_or("--inflight", 256));
+  const long long events = args.flag_or("--events", 8000000);
+  const int procs = args.flag_or("--procs", 8);
+  const auto batch = static_cast<std::size_t>(args.flag_or("--batch", 8192));
+  const int ckpt_every = args.flag_or("--ckpt-every", 8);
+  const int inflight = args.flag_or("--inflight", 256);
   const long long compact_every = args.flag_or("--compact-every", 1 << 16);
-  const long long eq_events = std::min<long long>(
-      events, std::max(10LL, static_cast<long long>(
-                                 args.flag_or("--eq-events", 1000000))));
-  const std::uint32_t seed =
-      static_cast<std::uint32_t>(std::max(1, args.flag_or("--seed", 1)));
+  const long long eq_events =
+      std::min<long long>(events, args.flag_or("--eq-events", 1000000));
+  const auto seed = static_cast<std::uint32_t>(args.flag_or("--seed", 1));
 
   RetentionPolicy policy = RetentionPolicy::bounded(compact_every);
 

@@ -26,6 +26,9 @@
 //
 // Usage: bench_serve [--events N] [--batch N] [--clients N]
 //                    [--shards CSV] [--sessions CSV] [--json <path>]
+//                    [--trace <path>]
+// Every flag is checked (bench_common.hpp's BenchArgs): an undeclared flag
+// or a malformed count, such as --shards 1,x, exits 2.
 #include <cstddef>
 #include <iostream>
 #include <span>
@@ -86,16 +89,6 @@ bool matches_reference(const serve::DriverReport& r, const Reference& ref,
          r.delivered_messages == ref.messages * sessions;
 }
 
-std::vector<int> parse_csv(const std::string& csv,
-                           const std::vector<int>& fallback) {
-  if (csv.empty()) return fallback;
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  for (std::string part; std::getline(ss, part, ',');)
-    out.push_back(std::max(1, std::atoi(part.c_str())));
-  return out.empty() ? fallback : out;
-}
-
 json::Value to_json(const PercentileSummary& s) {
   return json::Object{{"count", static_cast<long long>(s.count)},
                       {"p50", s.p50},
@@ -108,17 +101,18 @@ json::Value to_json(const PercentileSummary& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args(argc, argv);
+  constexpr auto kList = BenchFlag::Kind::kIntList;
+  const BenchArgs args(argc, argv, "bench_serve",
+                       {{"--events"}, {"--batch"}, {"--clients"}, {"--shards", kList},
+                        {"--sessions", kList}, kJsonFlag, kTraceFlag});
+  if (!args.ok()) return args.usage_error();
   BenchReport report("serve", args.json_path(), args.trace_path());
-  const auto total_events = static_cast<std::size_t>(
-      std::max(1, args.flag_or("--events", 1000000)));
-  const auto batch = static_cast<std::size_t>(
-      std::max(1, args.flag_or("--batch", 64)));
-  const int clients = std::max(1, args.flag_or("--clients", 2));
-  const std::vector<int> shard_counts =
-      parse_csv(args.flag_or("--shards", std::string()), {1, 2, 4, 8});
+  const auto total_events = static_cast<std::size_t>(args.flag_or("--events", 1000000));
+  const auto batch = static_cast<std::size_t>(args.flag_or("--batch", 64));
+  const int clients = args.flag_or("--clients", 2);
+  const std::vector<int> shard_counts = args.flag_or("--shards", std::vector<int>{1, 2, 4, 8});
   const std::vector<int> session_counts =
-      parse_csv(args.flag_or("--sessions", std::string()), {16, 256, 4096});
+      args.flag_or("--sessions", std::vector<int>{16, 256, 4096});
   const int num_processes = random_env_preset().num_processes;
   const int cores = hardware_threads();
 

@@ -190,9 +190,10 @@ struct ConcurrentTimings {
   long long rdt_true = 0;  // keeps the query loops un-elidable
 };
 
-// One batched feeder racing two query threads over the seqlock read path —
-// the readers never take the feed lock, so the feeder's throughput should
-// stay near the uncontended batched rate.
+// One batched feeder racing two query threads. The readers never take the
+// feed lock, and the seqlock brackets only each commit's copy of the view,
+// so a query never waits for a batch: the feeder's throughput should stay
+// near the uncontended batched rate.
 ConcurrentTimings run_concurrent(int num_processes,
                                  const std::vector<StreamEvent>& ops,
                                  std::size_t batch) {
@@ -300,11 +301,12 @@ NaiveTimings run_naive(int num_processes, const std::vector<StreamEvent>& ops,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args(argc, argv);
+  const BenchArgs args(argc, argv, "bench_stream",
+                       {{"--events"}, {"--batch"}, kJsonFlag, kTraceFlag});
+  if (!args.ok()) return args.usage_error();
   BenchReport report("stream", args.json_path(), args.trace_path());
   const long long target = args.flag_or("--events", 1000000);
-  const std::size_t batch = static_cast<std::size_t>(
-      std::max(1, args.flag_or("--batch", 4096)));
+  const auto batch = static_cast<std::size_t>(args.flag_or("--batch", 4096));
 
   banner("stream throughput",
          "amortized per-event cost of the incremental online kernel");

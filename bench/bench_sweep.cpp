@@ -23,7 +23,9 @@ using Clock = std::chrono::steady_clock;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args(argc, argv);
+  const BenchArgs args(argc, argv, "bench_sweep",
+                       {kSeedsFlag, kThreadsFlag, kJsonFlag, kTraceFlag});
+  if (!args.ok()) return args.usage_error();
   BenchReport report("sweep", args.json_path(), args.trace_path());
   const int seeds = args.seeds(20);
   const int threads = args.threads();

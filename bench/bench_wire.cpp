@@ -90,7 +90,9 @@ EquivalenceRow check_equivalence(const Trace& trace, ProtocolKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args(argc, argv);
+  const BenchArgs args(argc, argv, "bench_wire",
+                       {kSeedsFlag, kThreadsFlag, kJsonFlag, kTraceFlag});
+  if (!args.ok()) return args.usage_error();
   BenchReport report("wire", args.json_path(), args.trace_path());
   const int seeds = args.seeds(20);
   const int threads = args.threads();

@@ -8,13 +8,15 @@
 // bench_common.hpp). Only the sweeps of E1–E3 read --seeds; the other
 // experiments run a fixed seed set. A flag the chosen experiment does not
 // read, a flag without a value, a bad --seeds value or an unknown
-// experiment is a usage error (exit 2), never silently ignored.
+// experiment is a usage error (exit 2), never silently ignored: the flags go
+// through the same BenchArgs parser as every bench binary's.
 #include <algorithm>
-#include <charconv>
 #include <iomanip>
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "experiments.hpp"
 
@@ -68,29 +70,14 @@ int main(int argc, char** argv) {
                    [&](const Experiment& e) { return e.name == name; });
   if (experiment == std::end(kExperiments)) return usage("unknown experiment '" + name + "'");
 
-  int seeds = experiment->default_seeds;
-  std::string json_path;
-  std::string trace_path;
-  for (int i = 2; i < argc; i += 2) {
-    const std::string flag = argv[i];
-    if (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--"))
-      return usage(flag + " needs a value");
-    const std::string_view value = argv[i + 1];
-    if (flag == "--json") {
-      json_path = value;
-    } else if (flag == "--trace") {
-      trace_path = value;
-    } else if (flag == "--seeds" && experiment->default_seeds > 0) {
-      const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), seeds);
-      if (ec != std::errc() || end != value.data() + value.size() || seeds < 1)
-        return usage("--seeds needs a positive integer, got '" + std::string(value) + "'");
-    } else {
-      return usage(name + " does not read " + flag);
-    }
-  }
+  std::vector<BenchFlag> flags = {kJsonFlag, kTraceFlag};
+  if (experiment->default_seeds > 0) flags.push_back(kSeedsFlag);
+  const BenchArgs args(argc, argv, name, std::move(flags), 2);
+  if (!args.ok()) return usage(args.error());
 
-  BenchReport report(name, json_path, trace_path);
-  experiment->run(report, seeds);
+  BenchReport report(name, args.json_path(), args.trace_path());
+  const int seeds = experiment->default_seeds;
+  experiment->run(report, seeds > 0 ? args.seeds(seeds) : 0);
   report.finish();
   return 0;
 }

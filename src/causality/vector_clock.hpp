@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "causality/ids.hpp"
@@ -36,6 +37,8 @@ class VectorClock {
 
   std::int64_t get(ProcessId p) const;
   void set(ProcessId p, std::int64_t value);
+  // Every entry, in process order.
+  std::span<const std::int64_t> entries() const { return entries_; }
 
   // Local event at process p: bump its own component.
   void tick(ProcessId p);

@@ -1,6 +1,7 @@
 #include "online/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <thread>
 
@@ -12,14 +13,6 @@ namespace rdt {
 
 namespace {
 
-// Single-writer counter bump. The mirrors are atomic only so readers can
-// load them race-free; the feeder is the sole writer, so a relaxed
-// load/modify/store (not an RMW) is exact.
-template <typename T>
-inline void bump(std::atomic<T>& c, T d) {
-  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
-}
-
 // Cadence of the resident-bytes probe during feeding (events between
 // refresh_resident_bytes() calls when no compaction runs).
 constexpr long long kMemProbeEvents = 1 << 18;
@@ -27,50 +20,17 @@ constexpr long long kMemProbeEvents = 1 << 18;
 }  // namespace
 
 OnlineEngine::OnlineEngine(const EngineOptions& options)
-    : num_processes_(options.num_processes),
-      retention_(options.retention),
-      machine_(options.num_processes) {
-  RDT_REQUIRE(options.num_processes >= 1, "need at least one process");
-  // TSA checks calls into RDT_REQUIRES helpers even from the constructor,
-  // so take the (uncontended, single-threaded) feed lock for the body.
-  const MutexLock lock(feed_mu_);
-  const auto n = static_cast<std::size_t>(options.num_processes);
-  clocks_.assign(n, VectorClock(options.num_processes));
-  state_.resize(n);
-  node_ids_.resize(n);
-  summary_nodes_.assign(n, -1);
-  tdv_pub_ = std::make_unique<std::atomic<CkptIndex>[]>(n * n);
-  clock_pub_ = std::make_unique<std::atomic<std::int64_t>[]>(n * n);
-  proc_pub_ = std::make_unique<PubProc[]>(n);
-  rc_.node_ids.resize(n);
-  rc_.durable_snap.assign(n, 0);
-  rc_.frontier_snap.assign(n, -1);
-  bootstrap_processes();
-  if constexpr (kAuditsEnabled) {
-    // The shadow is keep-all, so it never builds a shadow of its own.
-    if (retention_.enabled)
-      shadow_ = std::make_unique<OnlineEngine>(EngineOptions{options.num_processes});
-  }
-  refresh_resident_bytes();
-}
-
-void OnlineEngine::bootstrap_processes() {
-  const auto n = static_cast<std::size_t>(num_processes());
-  for (ProcessId p = 0; p < num_processes(); ++p) {
-    auto& ps = state_[static_cast<std::size_t>(p)];
-    ps.pending.assign(n, 0);
-    ps.last_node = log_node(CkptId{p, 0});  // the implicit initial C_{p,0}
-    node_ids_[static_cast<std::size_t>(p)].ids.push_back(ps.last_node);
-  }
-  publish_all();  // own TDV entries are already 1 (interval I_{p,1})
+    : machine_(options.num_processes) {
+  reset(options);
 }
 
 void OnlineEngine::reset(const EngineOptions& options) {
   RDT_REQUIRE(options.num_processes >= 1, "need at least one process");
   const MutexLock lock(feed_mu_);
-  // Bracket with the seqlock so a contract-violating late reader spins
-  // through the teardown instead of tearing a half-reset snapshot.
-  const WriteTicket ticket(seq_);
+  // feed_mu_ -> rc_.mu is a fresh lock order, but safe: no query path
+  // acquires them in the other order (heavy queries take rc_.mu and then
+  // only read the view, never feed_mu_).
+  const MutexLock reader_lock(rc_.mu);
   const auto n = static_cast<std::size_t>(options.num_processes);
   const bool resized = options.num_processes != this->num_processes();
   num_processes_.store(options.num_processes, std::memory_order_relaxed);
@@ -110,7 +70,6 @@ void OnlineEngine::reset(const EngineOptions& options) {
   summary_nodes_.assign(n, -1);
   events_since_compact_ = 0;
   events_since_mem_probe_ = 0;
-  deferred_publish_ = false;
   node_log_.reset();
   edge_log_.reset();
 
@@ -129,62 +88,48 @@ void OnlineEngine::reset(const EngineOptions& options) {
   }
 
   if (resized) {
-    tdv_pub_ = std::make_unique<std::atomic<CkptIndex>[]>(n * n);
-    clock_pub_ = std::make_unique<std::atomic<std::int64_t>[]>(n * n);
-    proc_pub_ = std::make_unique<PubProc[]>(n);
-  }
-  for (std::size_t p = 0; p < n; ++p)
-    proc_pub_[p].horizon.store(0, std::memory_order_relaxed);
-
-  permanent_.store(0, std::memory_order_relaxed);
-  live_vio_.store(0, std::memory_order_relaxed);
-  retained_total_.store(0, std::memory_order_relaxed);
-  delivered_.store(0, std::memory_order_relaxed);
-  causal_junctions_.store(0, std::memory_order_relaxed);
-  noncausal_junctions_.store(0, std::memory_order_relaxed);
-  events_consumed_.store(0, std::memory_order_relaxed);
-  sends_observed_.store(0, std::memory_order_relaxed);
-  internals_observed_.store(0, std::memory_order_relaxed);
-  checkpoints_observed_.store(0, std::memory_order_relaxed);
-  // Retention counters deliberately survive: they are lifetime metrics,
-  // like rc_.recovery_sweeps.
-  // Bump (never rewind) the epoch: a memo keyed to a pre-reset epoch must
-  // not validate against the recycled graph.
-  bump(recovery_epoch_, std::uint64_t{1});
-
-  {
-    // feed_mu_ -> rc_.mu is a fresh lock order, but safe: no query path
-    // acquires them in the other order (heavy queries take rc_.mu and then
-    // only the seqlock, never feed_mu_).
-    const MutexLock reader_lock(rc_.mu);
-    rc_.reach.reset(retention_.enabled ? retention_.max_pooled_reach_rows
-                                       : 0);
-    rc_.node_ids.resize(n);
-    for (auto& t : rc_.node_ids) {
-      t.ids.clear();
-      t.base = 0;
-    }
-    rc_.nodes_consumed = 0;
-    rc_.edges_consumed = 0;
-    rc_.durable_snap.assign(n, 0);
-    rc_.frontier_snap.assign(n, -1);
-    rc_.recovery_memo_valid = false;
-    // rc_.recovery_sweeps survives: it is a cumulative metrics counter.
+    view_.procs = std::make_unique<AtomicWords<ProcView>[]>(n);
+    view_.tdv = std::make_unique<std::atomic<CkptIndex>[]>(n * n);
+    view_.clock = std::make_unique<std::atomic<std::int64_t>[]>(n * n);
   }
 
-  bootstrap_processes();
+  // The retention counters are lifetime metrics, like rc_.recovery_sweeps,
+  // and a memo keyed to a pre-reset epoch must not validate against the
+  // recycled graph.
+  counters_ = Counters{.recovery_epoch = counters_.recovery_epoch + 1,
+                       .retention = counters_.retention};
+
+  rc_.reach.reset(retention_.enabled ? retention_.max_pooled_reach_rows : 0);
+  rc_.node_ids.resize(n);
+  for (auto& t : rc_.node_ids) {
+    t.ids.clear();
+    t.base = 0;
+  }
+  rc_.nodes_consumed = 0;
+  rc_.edges_consumed = 0;
+  rc_.durable_snap.assign(n, 0);
+  rc_.frontier_snap.assign(n, -1);
+  rc_.recovery_memo_valid = false;
+
+  // The implicit initial checkpoints C_{p,0}; own TDV entries are already 1
+  // (interval I_{p,1}).
+  for (ProcessId p = 0; p < num_processes(); ++p) {
+    auto& ps = state_[static_cast<std::size_t>(p)];
+    ps.pending.assign(n, 0);
+    ps.last_node = log_node(CkptId{p, 0});
+    node_ids_[static_cast<std::size_t>(p)].ids.push_back(ps.last_node);
+  }
   if constexpr (kAuditsEnabled) {
-    if (retention_.enabled) {
-      if (shadow_)
-        shadow_->reset(EngineOptions{options.num_processes});
-      else
-        shadow_ = std::make_unique<OnlineEngine>(EngineOptions{options.num_processes});
-    } else {
+    // The shadow is keep-all, so it never builds a shadow of its own.
+    if (!retention_.enabled)
       shadow_.reset();
-    }
+    else if (shadow_)
+      shadow_->reset(EngineOptions{options.num_processes});
+    else
+      shadow_ = std::make_unique<OnlineEngine>(EngineOptions{options.num_processes});
   }
-  audit_published_state();
   refresh_resident_bytes();
+  publish();
 }
 
 template <typename Fn>
@@ -196,70 +141,50 @@ auto OnlineEngine::read_stable(Fn&& fn) const -> decltype(fn()) {
       seqlock_fence(std::memory_order_acquire);
       if (seq_.load(std::memory_order_relaxed) == s1) return out;
     }
-    // A long feed() batch keeps seq_ odd for its whole duration — back off
-    // instead of burning the feeder's core.
+    // The window is one publish() copy; back off if it keeps racing.
     if (spins >= 32) std::this_thread::yield();
   }
 }
 
 // ---------------------------------------------------------------------------
-// Feeder side: mirrors.
+// The commit point.
 
-void OnlineEngine::publish_tdv_row(ProcessId j) {
-  if (deferred_publish_) return;
+void OnlineEngine::publish(const StreamEvent* only) {
+  counters_.nodes = node_log_.size();
+  counters_.edges = edge_log_.size();
+  {
+    const WriteTicket ticket(seq_);
+    view_.counters.store(counters_);
+    if (only == nullptr) {
+      for (ProcessId p = 0; p < num_processes(); ++p) copy_row(p);
+    } else {
+      copy_row(only->p);
+      if (only->kind == EventKind::kDeliver) copy_row(only->q);
+    }
+  }
+  audit_published_state();
+}
+
+void OnlineEngine::copy_row(ProcessId p) {
   const auto n = static_cast<std::size_t>(num_processes());
-  const Tdv& t = machine_.at(j);
-  std::atomic<CkptIndex>* row = tdv_pub_.get() + static_cast<std::size_t>(j) * n;
-  for (std::size_t i = 0; i < n; ++i)
-    row[i].store(t[i], std::memory_order_relaxed);
-}
-
-void OnlineEngine::publish_tdv_own(ProcessId j) {
-  if (deferred_publish_) return;
-  const auto n = static_cast<std::size_t>(num_processes());
-  const auto jj = static_cast<std::size_t>(j);
-  tdv_pub_[jj * n + jj].store(machine_.at(j)[jj], std::memory_order_relaxed);
-}
-
-void OnlineEngine::publish_clock_row(ProcessId j) {
-  if (deferred_publish_) return;
-  const auto n = static_cast<std::size_t>(num_processes());
-  const VectorClock& c = clocks_[static_cast<std::size_t>(j)];
-  std::atomic<std::int64_t>* row =
-      clock_pub_.get() + static_cast<std::size_t>(j) * n;
-  for (ProcessId i = 0; i < num_processes(); ++i)
-    row[static_cast<std::size_t>(i)].store(c.get(i), std::memory_order_relaxed);
-}
-
-void OnlineEngine::publish_clock_own(ProcessId j) {
-  if (deferred_publish_) return;
-  const auto n = static_cast<std::size_t>(num_processes());
-  const auto jj = static_cast<std::size_t>(j);
-  clock_pub_[jj * n + jj].store(clocks_[jj].get(j), std::memory_order_relaxed);
-}
-
-void OnlineEngine::publish_proc(ProcessId p) {
-  if (deferred_publish_) return;
-  const auto& ps = state_[static_cast<std::size_t>(p)];
-  PubProc& pub = proc_pub_[static_cast<std::size_t>(p)];
-  pub.durable.store(ps.durable, std::memory_order_relaxed);
-  pub.open_retained.store(ps.open_retained, std::memory_order_relaxed);
-  pub.frontier.store(ps.frontier, std::memory_order_relaxed);
-  // pub.horizon is written only by compact_locked()/reset(): the horizon
-  // moves at compaction, never per event.
-}
-
-void OnlineEngine::publish_all() {
-  for (ProcessId p = 0; p < num_processes(); ++p) {
-    publish_tdv_row(p);
-    publish_clock_row(p);
-    publish_proc(p);
+  const auto pp = static_cast<std::size_t>(p);
+  const ProcessState& ps = state_[pp];
+  view_.procs[pp].store({ps.durable, ps.open_retained, node_ids_[pp].base, ps.frontier});
+  const Tdv& t = machine_.at(p);
+  const std::span<const std::int64_t> c = clocks_[pp].entries();
+  std::atomic<CkptIndex>* tdv = view_.tdv.get() + pp * n;
+  std::atomic<std::int64_t>* clock = view_.clock.get() + pp * n;
+  for (std::size_t i = 0; i < n; ++i) {
+    tdv[i].store(t[i], std::memory_order_relaxed);
+    clock[i].store(c[i], std::memory_order_relaxed);
   }
 }
 
 void OnlineEngine::audit_published_state() const {
   if constexpr (!kAuditsEnabled) return;
   const auto n = static_cast<std::size_t>(num_processes());
+  RDT_AUDIT(view_.counters.load() == counters_,
+            "published counters diverged from the feeder's");
   long long vio = 0;
   for (std::size_t j = 0; j < n; ++j) {
     const auto& ps = state_[j];
@@ -267,35 +192,30 @@ void OnlineEngine::audit_published_state() const {
     int v = 0;
     for (std::size_t k = 0; k < n; ++k) {
       if (ps.pending[k] > live[k]) ++v;
-      RDT_AUDIT(tdv_pub_[j * n + k].load(std::memory_order_relaxed) == live[k],
-                "published TDV mirror diverged from the live TDV");
-      RDT_AUDIT(clock_pub_[j * n + k].load(std::memory_order_relaxed) ==
+      RDT_AUDIT(view_.tdv[j * n + k].load(std::memory_order_relaxed) == live[k],
+                "published TDV row diverged from the live TDV");
+      RDT_AUDIT(view_.clock[j * n + k].load(std::memory_order_relaxed) ==
                     clocks_[j].get(static_cast<ProcessId>(k)),
-                "published clock mirror diverged from the live clock");
+                "published clock row diverged from the live clock");
     }
     RDT_AUDIT(v == ps.vio,
               "per-process pending-vs-live census diverged from its counter");
     vio += v;
-    RDT_AUDIT(proc_pub_[j].durable.load(std::memory_order_relaxed) ==
-                  ps.durable,
-              "published durable index diverged");
-    RDT_AUDIT(proc_pub_[j].open_retained.load(std::memory_order_relaxed) ==
-                  ps.open_retained,
+    const ProcView pub = view_.procs[j].load();
+    RDT_AUDIT(pub.durable == ps.durable, "published durable index diverged");
+    RDT_AUDIT(pub.open_retained == ps.open_retained,
               "published open-interval event count diverged");
-    RDT_AUDIT(proc_pub_[j].frontier.load(std::memory_order_relaxed) ==
-                  ps.frontier,
-              "published frontier node diverged");
-    RDT_AUDIT(proc_pub_[j].horizon.load(std::memory_order_relaxed) ==
-                  node_ids_[j].base,
+    RDT_AUDIT(pub.frontier == ps.frontier, "published frontier node diverged");
+    RDT_AUDIT(pub.horizon == node_ids_[j].base,
               "published retention horizon diverged from the id table base");
   }
-  RDT_AUDIT(vio == live_vio_.load(std::memory_order_relaxed),
+  RDT_AUDIT(vio == counters_.live_vio,
             "live violation census diverged from its counter");
 }
 
 // ---------------------------------------------------------------------------
-// Feeder side: event bodies. Caller holds feed_mu_ inside a WriteTicket;
-// every RDT_REQUIRE fires before the first mutation of its event.
+// Feeder side: event bodies. Caller holds feed_mu_; every RDT_REQUIRE fires
+// before the first mutation of its event.
 
 void OnlineEngine::ensure_frontier(ProcessId p) {
   auto& ps = state_[static_cast<std::size_t>(p)];
@@ -305,8 +225,7 @@ void OnlineEngine::ensure_frontier(ProcessId p) {
   // that evicted C_{p,durable} itself (line == durable), last_node IS the
   // process's summary node and the edge is the collapsed stand-in.
   log_edge(ps.last_node, static_cast<std::uint32_t>(ps.frontier) << 1);
-  publish_proc(p);
-  bump(recovery_epoch_, std::uint64_t{1});
+  ++counters_.recovery_epoch;
 }
 
 int OnlineEngine::log_node(const CkptId& c) {
@@ -347,7 +266,7 @@ void OnlineEngine::evaluate_mm(const CkptId& target, ProcessId k,
   auto& pj = state_[static_cast<std::size_t>(j)];
   if (k == j) {
     // Same-process trackability is positional and never changes.
-    if (si > target.index) bump(permanent_, 1LL);
+    if (si > target.index) ++counters_.permanent;
     return;
   }
   if (target.index <= pj.durable) {
@@ -357,7 +276,7 @@ void OnlineEngine::evaluate_mm(const CkptId& target, ProcessId k,
     // invalid in every sweep since the junction formed — strictly above any
     // recovery line a compaction could have released rows behind.
     if (pj.saved.at(target.index)[static_cast<std::size_t>(k)] < si)
-      bump(permanent_, 1LL);
+      ++counters_.permanent;
     return;
   }
   // Open target: the live TDV can only grow, so once it covers the start
@@ -371,7 +290,7 @@ void OnlineEngine::evaluate_mm(const CkptId& target, ProcessId k,
   if (!was_vio) {
     // The slot now exceeds the live entry (si does), so the census grows.
     ++pj.vio;
-    bump(live_vio_, 1LL);
+    ++counters_.live_vio;
   }
 }
 
@@ -385,7 +304,7 @@ void OnlineEngine::refresh_vio(ProcessId j) {
   for (std::size_t k = 0; k < pj.pending.size(); ++k)
     if (pj.pending[k] > live[k]) ++v;
   if (v != pj.vio) {
-    bump(live_vio_, static_cast<long long>(v - pj.vio));
+    counters_.live_vio += static_cast<long long>(v - pj.vio);
     pj.vio = v;
   }
 }
@@ -399,7 +318,6 @@ void OnlineEngine::do_send(MsgId m, ProcessId sender, ProcessId receiver) {
   ensure_frontier(sender);
   auto& ps = state_[static_cast<std::size_t>(sender)];
   clocks_[static_cast<std::size_t>(sender)].tick(sender);
-  publish_clock_own(sender);
 
   MessageState ms;
   ms.sender = sender;
@@ -419,8 +337,8 @@ void OnlineEngine::do_send(MsgId m, ProcessId sender, ProcessId receiver) {
   ps.interval_sends.push_back(m);
   msgs_.push_back(std::move(ms));
 
-  bump(events_consumed_, 1LL);
-  bump(sends_observed_, 1LL);
+  ++counters_.events;
+  ++counters_.sends;
 }
 
 void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
@@ -448,32 +366,28 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
       node_ids_[static_cast<std::size_t>(sender)].base) {
     tail = summary_nodes_[static_cast<std::size_t>(sender)];
     RDT_ASSERT(tail >= 0);
-    bump(late_edges_, 1LL);
+    ++counters_.retention.late_edges_collapsed;
   } else {
     tail = node_of({sender, ms.send_interval});
   }
   log_edge(tail, (static_cast<std::uint32_t>(pr.frontier) << 1) | 1u);
-  bump(recovery_epoch_, std::uint64_t{1});
+  ++counters_.recovery_epoch;
 
   clocks_[static_cast<std::size_t>(receiver)].tick(receiver);
   clocks_[static_cast<std::size_t>(receiver)].merge(ms.clock);
-  publish_clock_row(receiver);
   machine_.deliver(receiver, ms.tdv);
-  publish_tdv_row(receiver);
   // The merge may have covered pending starts; recount the receiver.
   refresh_vio(receiver);
 
   // The delivery joins the closed prefix and retains its matching send.
-  bump(delivered_, 1);
-  bump(retained_total_, 2);
+  ++counters_.delivered;
+  counters_.retained_total += 2;
   ++pr.open_retained;
-  publish_proc(receiver);
   auto& psender = state_[static_cast<std::size_t>(sender)];
   if (ms.send_interval == psender.durable + 1) {
     ++psender.open_retained;
-    publish_proc(sender);
   }
-  bump(causal_junctions_, ms.deliveries_at_sender);
+  counters_.causal_junctions += ms.deliveries_at_sender;
 
   // Non-causal junctions with m as the *incoming* message: every send of
   // the receiver earlier in this same interval. A junction only exists in
@@ -485,7 +399,7 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
     RDT_ASSERT(out >= msgs_base_);
     MessageState& mo = msgs_[static_cast<std::size_t>(out - msgs_base_)];
     if (mo.delivered) {
-      bump(noncausal_junctions_, 1LL);
+      ++counters_.noncausal_junctions;
       evaluate_mm({mo.receiver, mo.deliver_interval}, ms.sender,
                   ms.send_interval);
     } else {
@@ -495,7 +409,7 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   // Junctions with m as the *outgoing* message, discovered while it was in
   // flight: they materialize now, targeting the receiver's open interval.
   for (const auto& [k, si] : ms.deferred) {
-    bump(noncausal_junctions_, 1LL);
+    ++counters_.noncausal_junctions;
     evaluate_mm({receiver, pr.durable + 1}, k, si);
   }
   ms.deferred.clear();
@@ -508,7 +422,7 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   clock_pool_.push_back(std::move(ms.clock));
   ms.clock = VectorClock();
 
-  bump(events_consumed_, 1LL);
+  ++counters_.events;
 }
 
 void OnlineEngine::do_internal(ProcessId p) {
@@ -516,12 +430,10 @@ void OnlineEngine::do_internal(ProcessId p) {
   ensure_frontier(p);
   auto& ps = state_[static_cast<std::size_t>(p)];
   clocks_[static_cast<std::size_t>(p)].tick(p);
-  publish_clock_own(p);
   ++ps.open_retained;
-  publish_proc(p);
-  bump(retained_total_, 1);
-  bump(events_consumed_, 1LL);
-  bump(internals_observed_, 1LL);
+  ++counters_.retained_total;
+  ++counters_.events;
+  ++counters_.internals;
 }
 
 void OnlineEngine::do_checkpoint(ProcessId p, CkptIndex index) {
@@ -537,17 +449,14 @@ void OnlineEngine::do_checkpoint(ProcessId p, CkptIndex index) {
   // settled violations is exactly the process's live census.
   Tdv& saved = ps.saved.emplace_back(tdv_pool_);
   machine_.checkpoint(p, saved);
-  publish_tdv_own(p);
   long long settled = 0;
   for (std::size_t k = 0; k < ps.pending.size(); ++k) {
     if (ps.pending[k] > saved[k]) ++settled;
     ps.pending[k] = 0;
   }
   RDT_ASSERT(settled == ps.vio);
-  if (settled > 0) {
-    bump(permanent_, settled);
-    bump(live_vio_, -settled);
-  }
+  counters_.permanent += settled;
+  counters_.live_vio -= settled;
   ps.vio = 0;
 
   ++ps.durable;
@@ -557,13 +466,11 @@ void OnlineEngine::do_checkpoint(ProcessId p, CkptIndex index) {
   ps.interval_sends.clear();
   ps.open_retained = 0;
   clocks_[static_cast<std::size_t>(p)].tick(p);
-  publish_clock_own(p);
-  publish_proc(p);
 
-  bump(retained_total_, 1);
-  bump(recovery_epoch_, std::uint64_t{1});
-  bump(events_consumed_, 1LL);
-  bump(checkpoints_observed_, 1LL);
+  ++counters_.retained_total;
+  ++counters_.recovery_epoch;
+  ++counters_.events;
+  ++counters_.checkpoints;
 }
 
 void OnlineEngine::do_event(const StreamEvent& e) {
@@ -594,43 +501,19 @@ void OnlineEngine::do_event(const StreamEvent& e) {
 // Intake entry points.
 
 void OnlineEngine::on_send(MsgId m, ProcessId sender, ProcessId receiver) {
-  const MutexLock lock(feed_mu_);
-  {
-    const WriteTicket ticket(seq_);
-    do_event(StreamEvent::send(m, sender, receiver));
-    audit_published_state();
-  }
-  after_commit();
+  feed(std::array{StreamEvent::send(m, sender, receiver)});
 }
 
 void OnlineEngine::on_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
-  const MutexLock lock(feed_mu_);
-  {
-    const WriteTicket ticket(seq_);
-    do_event(StreamEvent::deliver(m, sender, receiver));
-    audit_published_state();
-  }
-  after_commit();
+  feed(std::array{StreamEvent::deliver(m, sender, receiver)});
 }
 
 void OnlineEngine::on_internal(ProcessId p) {
-  const MutexLock lock(feed_mu_);
-  {
-    const WriteTicket ticket(seq_);
-    do_event(StreamEvent::internal(p));
-    audit_published_state();
-  }
-  after_commit();
+  feed(std::array{StreamEvent::internal(p)});
 }
 
 void OnlineEngine::on_checkpoint(ProcessId p, CkptIndex index) {
-  const MutexLock lock(feed_mu_);
-  {
-    const WriteTicket ticket(seq_);
-    do_event(StreamEvent::checkpoint(p, index));
-    audit_published_state();
-  }
-  after_commit();
+  feed(std::array{StreamEvent::checkpoint(p, index)});
 }
 
 void OnlineEngine::feed(std::span<const StreamEvent> events) {
@@ -644,24 +527,17 @@ void OnlineEngine::feed(std::span<const StreamEvent> events) {
     if (e.kind == EventKind::kSend) ++sends;
   if (msgs_.size() + sends > msgs_.capacity())
     msgs_.reserve(std::max(msgs_.size() + sends, msgs_.capacity() * 2));
-  {
-    const WriteTicket ticket(seq_);
-    // No reader can observe the mirrors while the ticket holds seq_ odd, so
-    // publish once at commit instead of per event. A precondition failure
-    // still republishes before the ticket closes — the contract is that
-    // event k failing leaves exactly events [0, k) applied AND visible.
-    deferred_publish_ = true;
-    try {
-      for (const StreamEvent& e : events) do_event(e);
-    } catch (...) {
-      deferred_publish_ = false;
-      publish_all();
-      throw;
-    }
-    deferred_publish_ = false;
-    publish_all();
-    audit_published_state();
+  // One event can only have changed the rows of the processes it names.
+  const StreamEvent* only = events.size() == 1 ? events.data() : nullptr;
+  try {
+    for (const StreamEvent& e : events) do_event(e);
+  } catch (...) {
+    // Event k failed: events [0, k) stay applied, and become visible. The
+    // full copy: a failed event may name processes that do not exist.
+    publish();
+    throw;
   }
+  publish(only);
   after_commit();
 }
 
@@ -675,7 +551,11 @@ void OnlineEngine::after_commit() {
   }
   if (events_since_mem_probe_ >= kMemProbeEvents) {
     events_since_mem_probe_ = 0;
-    refresh_resident_bytes();
+    {
+      const MutexLock reader_lock(rc_.mu);
+      refresh_resident_bytes();
+    }
+    publish();
   }
 }
 
@@ -706,7 +586,7 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
     }
     outcome = recovery_sweep_locked(node_log_.size(), edge_log_.size());
     rc_.recovery_memo = outcome;
-    rc_.recovery_memo_epoch = recovery_epoch_.load(std::memory_order_relaxed);
+    rc_.recovery_memo_epoch = counters_.recovery_epoch;
     rc_.recovery_memo_valid = true;
   }
 
@@ -721,11 +601,11 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
   std::size_t dropped_msgs = 0;
   long long dropped_edges = 0;
   {
-    // Phase 2: the rebuild. rc_.mu comes BEFORE the write ticket: a reader
-    // that entered its seqlock retry loop while holding rc_.mu would
-    // otherwise spin forever against a ticket blocked on that same mutex.
+    // Phase 2: the rebuild, committed before rc_.mu is released: a heavy
+    // reader holds rc_.mu from its view snapshot to the end of its log
+    // walk, so it never pairs the old view with rebuilt logs. Cheap readers
+    // never touch the logs; they see the old view until publish().
     const MutexLock reader_lock(rc_.mu);
-    const WriteTicket ticket(seq_);
 
     // (1) Saved-TDV prefix: rows at or behind the line can never be read
     // again (evaluate_mm's window containment proof), recycle them.
@@ -800,7 +680,7 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
     }
     edge_log_.release_unused_chunks();
 
-    // (4) Feeder id tables, per-process node handles, horizon mirrors.
+    // (4) Feeder id tables and per-process node handles.
     for (std::size_t p = 0; p < n; ++p) {
       const CkptIndex new_base = outcome.line.indices[p] + 1;
       NodeIdTable& t = node_ids_[p];
@@ -813,8 +693,6 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
       ps.last_node = remap[static_cast<std::size_t>(ps.last_node)];
       if (ps.frontier != -1)
         ps.frontier = remap[static_cast<std::size_t>(ps.frontier)];
-      proc_pub_[p].horizon.store(new_base, std::memory_order_relaxed);
-      proc_pub_[p].frontier.store(ps.frontier, std::memory_order_relaxed);
     }
 
     // (5) Empty zreach's closure cache; the next zreach() replays the
@@ -828,15 +706,17 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
     rc_.nodes_consumed = 0;
     rc_.edges_consumed = 0;
 
-    bump(compactions_, 1LL);
-    bump(evicted_ckpts_, evictable);
-    bump(evicted_edges_, dropped_edges);
-    bump(evicted_saved_, released_saved);
-    bump(evicted_msgs_, static_cast<long long>(dropped_msgs));
+    RetentionStats& r = counters_.retention;
+    ++r.compactions;
+    r.evicted_checkpoints += evictable;
+    r.evicted_edges += dropped_edges;
+    r.evicted_saved_tdvs += released_saved;
+    r.evicted_messages += static_cast<long long>(dropped_msgs);
+    events_since_mem_probe_ = 0;
+    refresh_resident_bytes();
+    publish();
   }
 
-  events_since_mem_probe_ = 0;
-  refresh_resident_bytes();
   audit_compact_equivalence();
   return true;
 }
@@ -890,47 +770,41 @@ std::size_t OnlineEngine::feeder_resident_bytes() const {
 }
 
 void OnlineEngine::refresh_resident_bytes() {
-  std::size_t reader = 0;
-  {
-    const MutexLock reader_lock(rc_.mu);
-    reader = rc_.reach.resident_bytes() + rc_.visited.capacity_bytes() +
-             mem::vec_bytes(rc_.stack);
-    for (const auto& t : rc_.node_ids) reader += mem::vec_bytes(t.ids);
-  }
-  resident_bytes_.store(feeder_resident_bytes() + reader,
-                        std::memory_order_relaxed);
+  std::size_t bytes = feeder_resident_bytes() + rc_.reach.resident_bytes() +
+                      rc_.visited.capacity_bytes() + mem::vec_bytes(rc_.stack);
+  for (const auto& t : rc_.node_ids) bytes += mem::vec_bytes(t.ids);
+  counters_.retention.resident_bytes = bytes;
+}
+
+// ---------------------------------------------------------------------------
+// Cheap queries: seqlock snapshots of the view.
+
+OnlineEngine::Counters OnlineEngine::load_counters(std::size_t words) const {
+  return read_stable([&] { return view_.counters.load(words); });
 }
 
 CkptIndex OnlineEngine::first_retained(ProcessId p) const {
   RDT_REQUIRE(p >= 0 && p < num_processes(), "process id out of range");
-  return proc_pub_[static_cast<std::size_t>(p)].horizon.load(
-      std::memory_order_relaxed);
+  return read_stable([&] {
+    return view_.procs[static_cast<std::size_t>(p)].load().horizon;
+  });
 }
 
 RetentionStats OnlineEngine::retention_stats() const {
-  RetentionStats s;
+  RetentionStats s = load_counters().retention;
   s.enabled = retention_.enabled;
-  s.compactions = compactions_.load(std::memory_order_relaxed);
-  s.evicted_checkpoints = evicted_ckpts_.load(std::memory_order_relaxed);
-  s.evicted_edges = evicted_edges_.load(std::memory_order_relaxed);
-  s.evicted_saved_tdvs = evicted_saved_.load(std::memory_order_relaxed);
-  s.evicted_messages = evicted_msgs_.load(std::memory_order_relaxed);
-  s.late_edges_collapsed = late_edges_.load(std::memory_order_relaxed);
-  s.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
   return s;
 }
 
-// ---------------------------------------------------------------------------
-// Wait-free-ish queries: seqlock snapshots of the mirrors.
-
 long long OnlineEngine::events_consumed() const {
-  return events_consumed_.load(std::memory_order_relaxed);
+  return load_counters(kCheapWords).events;
 }
 
 CkptIndex OnlineEngine::current_interval(ProcessId p) const {
   RDT_REQUIRE(p >= 0 && p < num_processes(), "process id out of range");
-  return proc_pub_[static_cast<std::size_t>(p)].durable.load(
-             std::memory_order_relaxed) +
+  return read_stable([&] {
+           return view_.procs[static_cast<std::size_t>(p)].load().durable;
+         }) +
          1;
 }
 
@@ -938,7 +812,7 @@ Tdv OnlineEngine::live_tdv(ProcessId p) const {
   RDT_REQUIRE(p >= 0 && p < num_processes(), "process id out of range");
   const auto n = static_cast<std::size_t>(num_processes());
   const std::atomic<CkptIndex>* row =
-      tdv_pub_.get() + static_cast<std::size_t>(p) * n;
+      view_.tdv.get() + static_cast<std::size_t>(p) * n;
   return read_stable([&] {
     Tdv t(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -951,7 +825,7 @@ VectorClock OnlineEngine::live_clock(ProcessId p) const {
   RDT_REQUIRE(p >= 0 && p < num_processes(), "process id out of range");
   const auto n = static_cast<std::size_t>(num_processes());
   const std::atomic<std::int64_t>* row =
-      clock_pub_.get() + static_cast<std::size_t>(p) * n;
+      view_.clock.get() + static_cast<std::size_t>(p) * n;
   return read_stable([&] {
     VectorClock c(num_processes());
     for (ProcessId i = 0; i < num_processes(); ++i)
@@ -961,33 +835,30 @@ VectorClock OnlineEngine::live_clock(ProcessId p) const {
 }
 
 bool OnlineEngine::is_rdt_so_far() const {
-  // Both counters must come from one quiescent window: a checkpoint settles
-  // pending violations by moving them between the two.
-  return read_stable([&] {
-    return permanent_.load(std::memory_order_relaxed) == 0 &&
-           live_vio_.load(std::memory_order_relaxed) == 0;
-  });
+  // Both counters come from one commit: a checkpoint settles pending
+  // violations by moving them between the two.
+  const Counters c = load_counters(kCheapWords);
+  return c.permanent == 0 && c.live_vio == 0;
 }
 
 StatsResult OnlineEngine::stats() const {
   const auto n = static_cast<std::size_t>(num_processes());
   OnlineStats s = read_stable([&] {
+    const Counters c = view_.counters.load(kCheapWords);
     OnlineStats out;
-    out.processes = num_processes();
-    out.messages = delivered_.load(std::memory_order_relaxed);
-    out.causal_junctions = causal_junctions_.load(std::memory_order_relaxed);
-    out.noncausal_junctions =
-        noncausal_junctions_.load(std::memory_order_relaxed);
+    out.processes = static_cast<int>(n);
+    out.messages = static_cast<int>(c.delivered);
+    out.causal_junctions = c.causal_junctions;
+    out.noncausal_junctions = c.noncausal_junctions;
     int virtuals = 0;
     int durable_ckpts = 0;
     for (std::size_t p = 0; p < n; ++p) {
-      if (proc_pub_[p].open_retained.load(std::memory_order_relaxed) > 0)
-        ++virtuals;  // build() would close this interval
-      durable_ckpts +=
-          proc_pub_[p].durable.load(std::memory_order_relaxed) + 1;
+      const ProcView pv = view_.procs[p].load();
+      if (pv.open_retained > 0) ++virtuals;  // build() would close it
+      durable_ckpts += pv.durable + 1;
     }
     out.virtual_finals = virtuals;
-    out.events = retained_total_.load(std::memory_order_relaxed) + virtuals;
+    out.events = static_cast<int>(c.retained_total) + virtuals;
     out.checkpoints = durable_ckpts + virtuals;
     return out;
   });
@@ -1031,14 +902,9 @@ OnlineEngine::NodeLookup OnlineEngine::reader_lookup(const CkptId& c) const {
 
 ZreachResult OnlineEngine::zreach(const CkptId& from, const CkptId& to) const {
   const MutexLock lock(rc_.mu);
-  struct Counts {
-    std::size_t nodes, edges;
-  };
-  // Only the log counts need the seqlock; the entries below them are
-  // immutable and already published by the logs' own release stores.
-  const Counts c = read_stable([&] {
-    return Counts{node_log_.size_published(), edge_log_.size_published()};
-  });
+  // Only the log counts come from the view; the entries below them are
+  // immutable, and the commit that counted them happens-before this read.
+  const Counters c = load_counters(kGraphWords);
   catch_up_reader(c.nodes, c.edges);
   const NodeLookup a = reader_lookup(from);
   const NodeLookup b = reader_lookup(to);
@@ -1132,31 +998,24 @@ RecoveryOutcome OnlineEngine::recovery_sweep_locked(std::size_t nodes,
 RecoveryResult OnlineEngine::recovery_line() const {
   const MutexLock lock(rc_.mu);
   const auto n = static_cast<std::size_t>(num_processes());
-  struct Snap {
-    std::uint64_t epoch = 0;
-    std::size_t nodes = 0, edges = 0;
-  };
   // TSA analyzes the lambda as a separate function that does not hold
   // rc_.mu; bind the scratch vectors under the lock and capture the aliases
   // (the house idiom from util/thread_annotations.hpp).
   std::vector<CkptIndex>& durable_snap = rc_.durable_snap;
   std::vector<int>& frontier_snap = rc_.frontier_snap;
-  const Snap snap = read_stable([&] {
-    Snap s;
-    s.epoch = recovery_epoch_.load(std::memory_order_relaxed);
-    s.nodes = node_log_.size_published();
-    s.edges = edge_log_.size_published();
+  const Counters snap = read_stable([&] {
     for (std::size_t p = 0; p < n; ++p) {
-      durable_snap[p] = proc_pub_[p].durable.load(std::memory_order_relaxed);
-      frontier_snap[p] = proc_pub_[p].frontier.load(std::memory_order_relaxed);
+      const ProcView pv = view_.procs[p].load();
+      durable_snap[p] = pv.durable;
+      frontier_snap[p] = pv.frontier;
     }
-    return s;
+    return view_.counters.load(kGraphWords);
   });
-  if (rc_.recovery_memo_valid && rc_.recovery_memo_epoch == snap.epoch)
+  if (rc_.recovery_memo_valid && rc_.recovery_memo_epoch == snap.recovery_epoch)
     return RecoveryResult::make(rc_.recovery_memo);
   const RecoveryOutcome out = recovery_sweep_locked(snap.nodes, snap.edges);
   rc_.recovery_memo = out;
-  rc_.recovery_memo_epoch = snap.epoch;
+  rc_.recovery_memo_epoch = snap.recovery_epoch;
   rc_.recovery_memo_valid = true;
   // The sweep runs entirely at or above the horizon, so eviction can never
   // make the answer unavailable.
@@ -1168,26 +1027,19 @@ void OnlineEngine::flush_metrics() const {
   obs::ObsSession* session = obs::ObsSession::current();
   if (session == nullptr) return;
   auto& m = session->metrics();
-  m.add(m.counter("online.events"),
-        events_consumed_.load(std::memory_order_relaxed));
-  m.add(m.counter("online.events.send"),
-        sends_observed_.load(std::memory_order_relaxed));
-  m.add(m.counter("online.events.deliver"),
-        delivered_.load(std::memory_order_relaxed));
-  m.add(m.counter("online.events.internal"),
-        internals_observed_.load(std::memory_order_relaxed));
-  m.add(m.counter("online.events.checkpoint"),
-        checkpoints_observed_.load(std::memory_order_relaxed));
-  m.add(m.counter("online.junctions.causal"),
-        causal_junctions_.load(std::memory_order_relaxed));
-  m.add(m.counter("online.junctions.noncausal"),
-        noncausal_junctions_.load(std::memory_order_relaxed));
-  m.add(m.counter("online.retention.compactions"),
-        compactions_.load(std::memory_order_relaxed));
+  const Counters c = load_counters();
+  m.add(m.counter("online.events"), c.events);
+  m.add(m.counter("online.events.send"), c.sends);
+  m.add(m.counter("online.events.deliver"), c.delivered);
+  m.add(m.counter("online.events.internal"), c.internals);
+  m.add(m.counter("online.events.checkpoint"), c.checkpoints);
+  m.add(m.counter("online.junctions.causal"), c.causal_junctions);
+  m.add(m.counter("online.junctions.noncausal"), c.noncausal_junctions);
+  m.add(m.counter("online.retention.compactions"), c.retention.compactions);
   m.add(m.counter("online.retention.evicted_checkpoints"),
-        evicted_ckpts_.load(std::memory_order_relaxed));
+        c.retention.evicted_checkpoints);
   m.add(m.counter("online.retention.evicted_messages"),
-        evicted_msgs_.load(std::memory_order_relaxed));
+        c.retention.evicted_messages);
   long long sweeps = 0;
   {
     const MutexLock lock(rc_.mu);

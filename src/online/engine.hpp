@@ -58,28 +58,29 @@
 //
 // Thread-safety: ONE feeder thread, any number of reader threads, and the
 // readers never block the feeder.
-//   * The feeder (on_* / feed) serializes on a private feed mutex and
-//     publishes every reader-visible value either as a relaxed atomic
-//     mirror or through an append-only PublishedLog, bracketing each
-//     event batch with a seqlock version counter (odd = mutation in
-//     flight).
-//   * `const` queries are retry-safe: they snapshot the mirrors under the
-//     seqlock (retrying if a mutation raced), so they take no lock the
-//     feeder could ever contend on. is_rdt_so_far/stats/live_tdv/
-//     live_clock are wait-free apart from that retry;
-//     events_consumed/current_interval are single atomic loads.
+//   * The feeder (on_* / feed / compact) serializes on a private feed mutex
+//     and mutates only plain feeder state. Every commit ends in one
+//     publish(), which copies each reader-visible value into a single view
+//     under a seqlock version counter (odd = copy in flight). The commits
+//     are a feed() (an on_* call is a feed() of one event; a feed() that
+//     fails at event k commits events [0, k)), a compaction pass, and
+//     reset(). R-graph nodes and edges go into append-only PublishedLogs,
+//     whose counts the view carries.
+//   * `const` queries read only the view, retrying if a copy raced them, so
+//     they take no lock the feeder could ever hold and only ever see commit
+//     states. A query that lands mid-batch returns the previous commit at
+//     once: the retry window is one copy, never a batch.
 //   * The heavy queries (recovery_line, zreach) serialize on a separate
 //     reader-side mutex guarding their scratch, the memoized rollback sweep
 //     and zreach's lazily caught-up closure cache. They snapshot only O(n)
-//     values under the seqlock (log counts, durable indexes, frontier node
-//     ids) and then compute on the log prefixes those counts name, so the
-//     feeder is again never blocked — a query observes the engine as of
-//     its snapshot. recovery_line walks the out-edge chains in place: a
-//     chain head is an acquire load, and edges at or beyond the snapshot's
-//     count are skipped, so the walk sees exactly the snapshot's graph.
-//   * A query overlapping a feed() batch retries until the batch commits;
-//     batches bound the retry window, so prefer moderate batch sizes when
-//     readers poll latency-sensitively.
+//     values from the view (log counts, durable indexes, frontier node ids)
+//     and then compute on the log prefixes those counts name, so the feeder
+//     is again never blocked — a query observes the engine as of its
+//     snapshot. recovery_line walks the out-edge chains in place: a chain
+//     head is an acquire load, and edges at or beyond the snapshot's count
+//     are skipped, so the walk sees exactly the snapshot's graph. A
+//     compaction rebuilds the logs and publishes while holding the reader
+//     mutex, so a heavy query never pairs an old view with rebuilt logs.
 //
 // Feeding: implement-by-subscription — the engine IS a PatternListener.
 // Attach it to a PatternBuilder (set_listener), to a replay
@@ -113,11 +114,14 @@
 // the retention horizon" (online/options.hpp).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -137,7 +141,7 @@ namespace rdt {
 // under -Werror). Every value the engine's seqlock guards is itself a
 // std::atomic, so sanitizer builds drop the fences: TSan still proves every
 // shared access atomic, while regular builds keep the fences that order the
-// relaxed mirror traffic against the version counter.
+// relaxed view copy against the version counter.
 #if defined(__SANITIZE_THREAD__)
 #define RDT_TSAN_BUILD 1
 #elif defined(__has_feature)
@@ -150,6 +154,41 @@ inline void seqlock_fence([[maybe_unused]] std::memory_order order) noexcept {
   std::atomic_thread_fence(order);
 #endif
 }
+
+// A trivially copyable value kept as relaxed atomic words: the unit the
+// engine's seqlock copies. A load is word-wise, so only a seqlock read
+// bracket makes it one consistent value.
+template <typename T>
+class AtomicWords {
+  static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 8 == 0);
+  static constexpr std::size_t kWords = sizeof(T) / 8;
+
+ public:
+  // Word by word: a wider load of fields the feeder just stored one by one
+  // would stall on store forwarding.
+  void store(const T& value) noexcept {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (std::size_t i = 0; i < kWords; ++i) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, bytes + 8 * i, 8);
+      words_[i].store(w, std::memory_order_relaxed);
+    }
+  }
+  // The first `words` words only (the rest keep T's defaults): a reader of
+  // T's leading fields touches no more cache lines than they span.
+  T load(std::size_t words = kWords) const noexcept {
+    T value;
+    auto* bytes = reinterpret_cast<unsigned char*>(&value);
+    for (std::size_t i = 0; i < words; ++i) {
+      const std::uint64_t w = words_[i].load(std::memory_order_relaxed);
+      std::memcpy(bytes + 8 * i, &w, 8);
+    }
+    return value;
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kWords> words_{};
+};
 
 // Live counts over the closed prefix (the fields shared with PatternStats,
 // which they must equal at every prefix).
@@ -204,7 +243,7 @@ class OnlineEngine final : public PatternListener {
   // Rewind to the freshly-constructed state under `options`, recycling
   // every arena the old stream grew: the message table, piggyback pools,
   // published logs, closure rows, and (when the process count is unchanged)
-  // the mirror arrays all keep their allocations, so a serving pool can
+  // the view arrays all keep their allocations, so a serving pool can
   // hand a recycled engine to a new session without paying the stream's
   // warm-up allocations again. The recycled engine is bit-identical to a
   // fresh OnlineEngine(options) on every query
@@ -218,9 +257,9 @@ class OnlineEngine final : public PatternListener {
   //
   // Concurrency contract: reset is a *lifecycle* operation, not a feed —
   // the caller must guarantee no concurrent feeder OR reader for its
-  // duration (the serving pool quiesces the session's shard first). The
-  // seqlock is still bracketed so a stray late reader spins rather than
-  // tearing, but log prefixes a reader captured before reset are dead.
+  // duration (the serving pool quiesces the session's shard first). reset
+  // ends in a commit like any feed, but log prefixes a reader captured
+  // before reset are dead.
   void reset(const EngineOptions& options);
 
   // The policy the engine was constructed/reset with. Lifecycle-stable:
@@ -234,10 +273,10 @@ class OnlineEngine final : public PatternListener {
   void on_internal(ProcessId p) override;
   void on_checkpoint(ProcessId p, CkptIndex index) override;
 
-  // Batched intake: one write-side acquisition for the whole span, with the
-  // message table reserved up front. Bit-identical to calling the on_*
-  // methods once per event in order (a precondition failure at event k
-  // leaves exactly events [0, k) applied, like k failing single calls).
+  // Batched intake: one commit for the whole span, with the message table
+  // reserved up front. Bit-identical to calling the on_* methods once per
+  // event in order (a precondition failure at event k leaves exactly events
+  // [0, k) applied and visible, like k single calls and a failing one).
   void feed(std::span<const StreamEvent> events);
 
   // --- live queries ---------------------------------------------------------
@@ -342,22 +381,68 @@ class OnlineEngine final : public PatternListener {
   // R-graph node as logged for readers: its checkpoint (index -1 marks a
   // per-process summary node) and the log index of its newest out-edge.
   // out_head is the one field the feeder rewrites after publication: it is
-  // stored with release before the edge is counted, loaded with acquire.
+  // stored with release as the edge is appended, before any view counts
+  // the edge, and loaded with acquire.
   struct NodeRec {
     CkptId ckpt;
     std::atomic<std::uint32_t> out_head{kNoEdge};
   };
 
-  // Per-process atomic mirrors of the feeder fields queries read.
-  struct PubProc {
-    std::atomic<CkptIndex> durable{0};
-    std::atomic<int> open_retained{0};
+  // Every counter readers see, bumped plainly by the feeder and copied into
+  // the view at each commit. Ordered by reader: is_rdt_so_far(), stats()
+  // and events_consumed() read the first kCheapWords words, the heavy
+  // queries the first kGraphWords, so each touches as few cache lines of
+  // the view as it can.
+  struct Counters {
+    long long permanent = 0;  // MM violations vs frozen targets
+    long long live_vio = 0;   // pending starts the live TDV misses
+    // Prefix counters (see stats()).
+    long long retained_total = 0;  // prefix events minus virtual finals
+    long long delivered = 0;
+    long long causal_junctions = 0;
+    long long noncausal_junctions = 0;
+    long long events = 0;  // raw events consumed
+    // Bumped whenever the R-graph or the durable frontier changes — the
+    // recovery memo's validity key. reset() bumps it too, never rewinds.
+    std::uint64_t recovery_epoch = 0;
+    // Published log counts, taken by publish().
+    std::size_t nodes = 0;
+    std::size_t edges = 0;
+    // Intake counters (flush_metrics).
+    long long sends = 0;
+    long long internals = 0;
+    long long checkpoints = 0;
+    // Cumulative across reset(); resident_bytes is the capacity-accounted
+    // footprint (util/mem_accounting.hpp), refreshed at reset, every
+    // compaction and every ~256k fed events.
+    RetentionStats retention;
+
+    friend bool operator==(const Counters&, const Counters&) = default;
+  };
+  static constexpr std::size_t kCheapWords = 7;
+  static constexpr std::size_t kGraphWords = 10;
+  static_assert(offsetof(Counters, events) == 8 * (kCheapWords - 1) &&
+                offsetof(Counters, edges) == 8 * (kGraphWords - 1));
+
+  // One process's reader-visible state.
+  struct ProcView {
+    CkptIndex durable = 0;
+    int open_retained = 0;
     // first_retained(p): smallest retained checkpoint index (the retention
     // horizon). 0 until a compaction advances it.
-    std::atomic<CkptIndex> horizon{0};
+    CkptIndex horizon = 0;
     // Engine node of C_{p,durable+1}, -1 until that interval opens: the
     // recovery sweep's seed.
-    std::atomic<int> frontier{-1};
+    int frontier = -1;
+  };
+
+  // What readers see: every reader-visible value as of the last commit,
+  // rewritten by publish() inside the seqlock write bracket.
+  struct View {
+    AtomicWords<Counters> counters;
+    std::unique_ptr<AtomicWords<ProcView>[]> procs;      // [p]
+    std::unique_ptr<std::atomic<CkptIndex>[]> tdv;       // n*n, row-major
+    std::unique_ptr<std::atomic<std::int64_t>[]> clock;  // n*n, row-major
   };
 
   // [p]: engine node of C_{p,x} at ids[x - base]; base is the retention
@@ -368,8 +453,9 @@ class OnlineEngine final : public PatternListener {
     std::vector<int> ids;
   };
 
-  // Seqlock write bracket (Boehm's fence recipe). Readers observing an odd
-  // seq_, or a seq_ change across their reads, retry.
+  // Seqlock write bracket (Boehm's fence recipe) around publish()'s copy.
+  // Readers observing an odd seq_, or a seq_ change across their reads,
+  // retry.
   class WriteTicket {
    public:
     explicit WriteTicket(std::atomic<std::uint64_t>& seq) : seq_(seq) {
@@ -390,7 +476,7 @@ class OnlineEngine final : public PatternListener {
   };
 
   // Runs fn() under the seqlock read protocol until a tear-free execution;
-  // fn must only perform relaxed atomic loads of the published mirrors.
+  // fn must only load from view_.
   template <typename Fn>
   auto read_stable(Fn&& fn) const -> decltype(fn());
 
@@ -420,7 +506,7 @@ class OnlineEngine final : public PatternListener {
     long long recovery_sweeps RDT_GUARDED_BY(mu) = 0;
   };
 
-  // Event bodies; caller holds feed_mu_ inside a WriteTicket.
+  // Event bodies: they mutate feeder state only; feed() publishes.
   void do_event(const StreamEvent& e) RDT_REQUIRES(feed_mu_);
   void do_send(MsgId m, ProcessId sender, ProcessId receiver)
       RDT_REQUIRES(feed_mu_);
@@ -429,12 +515,18 @@ class OnlineEngine final : public PatternListener {
   void do_internal(ProcessId p) RDT_REQUIRES(feed_mu_);
   void do_checkpoint(ProcessId p, CkptIndex index) RDT_REQUIRES(feed_mu_);
 
-  // Seed the initial checkpoints C_{p,0} into an empty engine and publish
-  // every mirror; shared by the constructor and reset().
-  void bootstrap_processes() RDT_REQUIRES(feed_mu_);
+  // The one commit point: copies every reader-visible value into view_
+  // inside the seqlock write bracket. The commit of a single event `only`
+  // copies just the rows it can have changed: its acting process's, and a
+  // delivery's receiver's.
+  void publish(const StreamEvent* only = nullptr) RDT_REQUIRES(feed_mu_);
+  // Copies process p's row into view_; runs inside publish()'s bracket.
+  void copy_row(ProcessId p) RDT_REQUIRES(feed_mu_);
+  // RDT_AUDITS-only: check view_ against the feeder state.
+  void audit_published_state() const RDT_REQUIRES(feed_mu_);
 
-  // Post-commit feeder work that must run outside the event's WriteTicket:
-  // the policy's automatic compaction and the periodic resident-bytes probe.
+  // Feeder work after a feed's commit: the policy's automatic compaction
+  // and the periodic resident-bytes probe, each a commit of its own.
   void after_commit() RDT_REQUIRES(feed_mu_);
   // The compaction pass proper; returns true when anything was evicted.
   // Skips the rebuild when fewer than `min_evictable` checkpoints lie at or
@@ -443,8 +535,9 @@ class OnlineEngine final : public PatternListener {
   // RDT_AUDITS + retention builds only: compare every answerable query
   // against the keep-all shadow twin after a compaction.
   void audit_compact_equivalence() RDT_REQUIRES(feed_mu_);
-  // Recompute the resident-bytes mirror (takes rc_.mu for the reader side).
-  void refresh_resident_bytes() RDT_REQUIRES(feed_mu_);
+  // Recompute counters_.retention.resident_bytes over feeder and reader
+  // state.
+  void refresh_resident_bytes() RDT_REQUIRES(feed_mu_, rc_.mu);
   std::size_t feeder_resident_bytes() const RDT_REQUIRES(feed_mu_);
 
   void ensure_frontier(ProcessId p) RDT_REQUIRES(feed_mu_);
@@ -460,16 +553,9 @@ class OnlineEngine final : public PatternListener {
   // Recount process j's pending-vs-live census after its live TDV grew.
   void refresh_vio(ProcessId j) RDT_REQUIRES(feed_mu_);
 
-  // Mirror maintenance (feeder side).
-  void publish_tdv_row(ProcessId j) RDT_REQUIRES(feed_mu_);
-  void publish_tdv_own(ProcessId j) RDT_REQUIRES(feed_mu_);
-  void publish_clock_row(ProcessId j) RDT_REQUIRES(feed_mu_);
-  void publish_clock_own(ProcessId j) RDT_REQUIRES(feed_mu_);
-  void publish_proc(ProcessId p) RDT_REQUIRES(feed_mu_);
-  // Republish every mirror (all TDV/clock rows, every per-process pub).
-  void publish_all() RDT_REQUIRES(feed_mu_);
-  // RDT_AUDITS-only: recompute every mirror from the feeder state.
-  void audit_published_state() const RDT_REQUIRES(feed_mu_);
+  // Reader side: one seqlock snapshot of the view's counters, or of only
+  // their first `words` words.
+  Counters load_counters(std::size_t words = sizeof(Counters) / 8) const;
 
   // Reader side; caller holds rc_.mu. Replays log entries into zreach's
   // closure cache.
@@ -491,12 +577,13 @@ class OnlineEngine final : public PatternListener {
 
   mutable AnnotatedMutex feed_mu_;  // serializes feeders (on_* / feed)
 
-  // Changes only in the constructor and reset() (a quiesced lifecycle
-  // operation); atomic so the lock-free query paths may read it race-free.
-  std::atomic<int> num_processes_;
-  // Lifecycle-stable like num_processes_ (written only by the constructor
-  // and reset(), read by retention()); plain because it is never written
-  // while another thread can run.
+  // Changes only in reset() (a quiesced lifecycle operation, which the
+  // constructor runs too); atomic so the lock-free query paths may read it
+  // race-free.
+  std::atomic<int> num_processes_{0};
+  // Lifecycle-stable like num_processes_ (written only by reset(), read by
+  // retention()); plain because it is never written while another thread
+  // can run.
   RetentionPolicy retention_;
 
   TdvMachine machine_ RDT_GUARDED_BY(feed_mu_);
@@ -525,47 +612,17 @@ class OnlineEngine final : public PatternListener {
   // RDT_AUDITS + retention builds: a keep-all twin fed the same events,
   // the oracle for audit_compact_equivalence(). Null otherwise.
   std::unique_ptr<OnlineEngine> shadow_ RDT_GUARDED_BY(feed_mu_);
-  // While a feed() batch holds the seqlock odd no reader can observe the
-  // mirrors, so per-event publication is wasted work: the publish_* helpers
-  // become no-ops and one publish_all() runs at batch commit.
-  bool deferred_publish_ RDT_GUARDED_BY(feed_mu_) = false;
+  // The feeder's counters; readers see them only through publish()'s copy.
+  Counters counters_ RDT_GUARDED_BY(feed_mu_);
 
   // ----- published state (written by the feeder, read by anyone) -----------
-  std::atomic<std::uint64_t> seq_{0};
-  // Bumped whenever the R-graph or the durable frontier changes — the
-  // recovery memo's validity key.
-  std::atomic<std::uint64_t> recovery_epoch_{0};
+  // A cache line of its own that starts with seq_ and the cheap counters,
+  // so a cheap query's reads share it and no feeder-private write lands in
+  // it between commits.
+  alignas(64) std::atomic<std::uint64_t> seq_{0};
+  View view_;
   PublishedLog<NodeRec> node_log_;  // engine node -> checkpoint, append order
   PublishedLog<EdgeRec> edge_log_;
-  std::unique_ptr<std::atomic<CkptIndex>[]> tdv_pub_;      // n*n, row-major
-  std::unique_ptr<std::atomic<std::int64_t>[]> clock_pub_; // n*n, row-major
-  std::unique_ptr<PubProc[]> proc_pub_;
-
-  std::atomic<long long> permanent_{0};  // MM violations vs frozen targets
-  std::atomic<long long> live_vio_{0};   // pending starts the live TDV misses
-
-  // Prefix counters (see stats()).
-  std::atomic<int> retained_total_{0};  // prefix events minus virtual finals
-  std::atomic<int> delivered_{0};
-  std::atomic<long long> causal_junctions_{0};
-  std::atomic<long long> noncausal_junctions_{0};
-
-  // Raw intake counters (flush_metrics / events_consumed).
-  std::atomic<long long> events_consumed_{0};
-  std::atomic<long long> sends_observed_{0};
-  std::atomic<long long> internals_observed_{0};
-  std::atomic<long long> checkpoints_observed_{0};
-
-  // Retention counters (retention_stats(); cumulative across reset()).
-  std::atomic<long long> compactions_{0};
-  std::atomic<long long> evicted_ckpts_{0};
-  std::atomic<long long> evicted_edges_{0};
-  std::atomic<long long> evicted_saved_{0};
-  std::atomic<long long> evicted_msgs_{0};
-  std::atomic<long long> late_edges_{0};
-  // Capacity-accounted footprint (util/mem_accounting.hpp), refreshed at
-  // construction, reset, every compaction and every ~256k fed events.
-  std::atomic<std::size_t> resident_bytes_{0};
 
   mutable ReaderCache rc_;
 };

@@ -9,20 +9,22 @@
 //    (2^10, 2^11, ... entries), never reallocated, so an entry's address is
 //    fixed the moment it is written — readers hold no iterator a later
 //    append could invalidate.
-//  * Publication by size. The writer stores the entry (plain write), then
-//    release-stores the new count; a reader acquire-loads the count and may
-//    then read entries [0, count) with plain loads. The release/acquire
-//    pair on size_ carries the happens-before edge for both the entry and
-//    its chunk pointer, so every access is either atomic or ordered — clean
-//    under TSan.
+//  * Publication by the owner's count. The log keeps no published count of
+//    its own: the writer appends entries (plain writes), and its owner
+//    publishes the count later with release semantics — the online engine
+//    copies it into its seqlock view at every commit. A reader that
+//    acquires a count may read entries [0, count) with plain loads; the
+//    happens-before edge covers both the entry and its chunk pointer, so
+//    every access is either atomic or ordered — clean under TSan. An entry
+//    past a reader's count is reachable only through an atomic link the
+//    writer release-stored after filling it (see append()).
 //
 // Contract: exactly ONE writer thread (external synchronization, e.g. the
-// engine's feed mutex); entries are immutable once published, apart from
-// atomic fields the writer updates through writable().
+// engine's feed mutex); entries are immutable once counted by a reader,
+// apart from atomic fields the writer updates through writable().
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <memory>
@@ -37,15 +39,12 @@ class PublishedLog {
   PublishedLog(const PublishedLog&) = delete;
   PublishedLog& operator=(const PublishedLog&) = delete;
 
-  // Writer-side count (callable only by the writer).
+  // Writer-side count (callable only by the writer; readers take the count
+  // their owner published).
   std::size_t size() const { return count_; }
 
-  // Reader-side count: entries [0, size_published()) are safe to read.
-  std::size_t size_published() const {
-    return size_.load(std::memory_order_acquire);
-  }
-
-  // Valid for i < size_published() (readers) or i < size() (the writer).
+  // Valid for i below a published count (readers) or i < size() (the
+  // writer).
   const T& operator[](std::size_t i) const {
     const Loc loc = locate(i);
     return chunks_[loc.chunk][loc.offset];
@@ -57,10 +56,7 @@ class PublishedLog {
   // again — the "immutable once published" guarantee restarts from here,
   // which is why concurrent readers are excluded (the engine's reset()
   // contract, not a lock, enforces that).
-  void reset() {
-    count_ = 0;
-    size_.store(0, std::memory_order_release);
-  }
+  void reset() { count_ = 0; }
 
   // Writer only, same exclusion contract as reset(): frees every chunk that
   // lies entirely above the current count. reset() deliberately keeps the
@@ -88,12 +84,12 @@ class PublishedLog {
     append([&](T& slot) { slot = std::move(v); });
   }
 
-  // Writer only: fill(slot) writes entry size() in place, then the entry is
-  // published. Two uses push_back cannot serve: entries with atomic fields
-  // (not assignable as a whole; fill must set every field, since a slot a
-  // reset() rewound still holds its old values), and a writer that links
-  // the new entry from elsewhere with its own release store — done inside
-  // fill, the link is visible to every reader that counts the entry.
+  // Writer only: fill(slot) writes entry size() in place. Two uses
+  // push_back cannot serve: entries with atomic fields (not assignable as a
+  // whole; fill must set every field, since a slot a reset() rewound still
+  // holds its old values), and a writer that links the new entry from
+  // elsewhere with its own release store — a reader that acquires the link
+  // sees the filled entry before any count includes it.
   template <typename Fill>
   void append(Fill&& fill) {
     const Loc loc = locate(count_);
@@ -101,7 +97,6 @@ class PublishedLog {
     if (!chunk) chunk = std::make_unique<T[]>(capacity_of(loc.chunk));
     fill(chunk[loc.offset]);
     ++count_;
-    size_.store(count_, std::memory_order_release);
   }
 
   // Writer only, i < size(): mutable access to a published entry, for its
@@ -133,8 +128,7 @@ class PublishedLog {
   }
 
   std::array<std::unique_ptr<T[]>, kMaxChunks> chunks_;
-  std::size_t count_ = 0;                  // writer's private count
-  std::atomic<std::size_t> size_{0};       // published count
+  std::size_t count_ = 0;  // writer's private count
 };
 
 }  // namespace rdt

@@ -1,7 +1,7 @@
 // Clang Thread Safety Analysis shims + the annotated mutex wrappers.
 //
-// The online engine's lock-free read path (seqlock + relaxed atomic
-// mirrors), the sharded metrics registry and the sweep scheduler all carry
+// The online engine's lock-free read path (a seqlock around one atomic
+// view per commit), the sharded metrics registry and the sweep scheduler all carry
 // locking contracts that TSan can only probe as far as test coverage
 // reaches. Clang's -Wthread-safety proves them at compile time instead:
 // every field names the mutex that guards it (RDT_GUARDED_BY), every
@@ -23,12 +23,13 @@
 //    reader-cache scratch vector), bind a local reference to the guarded
 //    field *outside* the lambda, under the lock, and capture that — the
 //    alias documents the transfer and keeps the field itself checkable.
-//  * Single-writer published state (PublishedLog, the atomic mirror
-//    arrays) is deliberately *not* GUARDED_BY its writer mutex: readers
-//    access it lock-free by design, and the release/acquire publication
-//    protocol — not the mutex — is what makes that safe. The lint rule
-//    `ticket-atomics` checks the complementary invariant: everything the
-//    feeder mutates inside a seqlock write bracket is atomic or logged.
+//  * Single-writer published state (PublishedLog, the engine's atomic
+//    view) is deliberately *not* GUARDED_BY its writer mutex: readers
+//    access it lock-free by design, and the seqlock and release/acquire
+//    publication protocol — not the mutex — is what makes that safe. The
+//    lint rule `ticket-atomics` checks the complementary invariant: every
+//    member the feeder mutates in a seqlock TU is atomic, logged, or
+//    feeder-private and GUARDED_BY (readers see it only through the view).
 #pragma once
 
 #include <mutex>

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -375,6 +379,43 @@ TEST(OnlineBatched, EmptyAndWholeStreamBatches) {
   expect_same_live_state(single, engine);
 }
 
+// A precondition failure at event k of a batch commits events [0, k): they
+// stay applied and readers see them, exactly as after k single events. A
+// failed single event, even one naming a process that does not exist,
+// changes nothing.
+TEST(OnlineBatched, FailedEventCommitsThePrefixBeforeIt) {
+  RandomEnvConfig cfg;
+  cfg.num_processes = 4;
+  cfg.duration = 20.0;
+  cfg.basic_ckpt_mean = 4.0;
+  cfg.seed = 5;
+  const std::vector<StreamEvent> ops = record_replay(random_environment(cfg), ProtocolKind::kBhmr);
+  ASSERT_GT(ops.size(), 40u);
+  const std::span<const StreamEvent> all(ops);
+  constexpr std::size_t kGood = 30;
+
+  OnlineEngine twin(EngineOptions{cfg.num_processes});
+  twin.feed(all.first(kGood));
+
+  std::vector<StreamEvent> batch(ops.begin(), ops.begin() + kGood);
+  batch.push_back(StreamEvent::internal(cfg.num_processes));  // no such process
+  batch.insert(batch.end(), ops.begin() + kGood, ops.end());
+  OnlineEngine engine(EngineOptions{cfg.num_processes});
+  EXPECT_THROW(engine.feed(batch), std::invalid_argument);
+  expect_same_live_state(twin, engine);
+
+  EXPECT_THROW(engine.on_internal(cfg.num_processes), std::invalid_argument);
+  EXPECT_THROW(engine.on_deliver(0, 0, -1), std::invalid_argument);
+  EXPECT_THROW(engine.on_checkpoint(0, 1000), std::invalid_argument);
+  expect_same_live_state(twin, engine);
+
+  // The engine carries on from the committed prefix.
+  engine.feed(all.subspan(kGood));
+  const std::vector<std::size_t> deliver_pos = deliver_positions(ops);
+  expect_prefix_equivalence(
+      engine, closed_prefix(cfg.num_processes, ops, ops.size(), deliver_pos), ops.size());
+}
+
 // reset() must hand back an engine bit-identical to a freshly constructed
 // one: warm an engine on one stream (optionally only part of it, so
 // in-flight messages sit in the recycled pools), reset, then replay a
@@ -522,24 +563,39 @@ LineKey line_key(const RecoveryOutcome& rec) {
   return {rec.line.indices, rec.rollback_intervals};
 }
 
+// Feeds `all` to a sequential twin in `batch`-event spans and calls
+// at_commit(twin) at every commit, the empty stream's included. With
+// compact_every > 0 the twin also compacts after every compact_every-th
+// batch and once at the end, each pass a commit of its own: the schedule
+// ReadersAcrossCompaction's feeder follows.
+template <typename AtCommit>
+void for_each_commit(const EngineOptions& options, std::span<const StreamEvent> all,
+                     std::size_t batch, std::size_t compact_every, AtCommit&& at_commit) {
+  OnlineEngine twin(options);
+  at_commit(twin);
+  std::size_t batches = 0;
+  for (std::size_t i = 0; i < all.size(); i += batch) {
+    twin.feed(all.subspan(i, std::min(batch, all.size() - i)));
+    at_commit(twin);
+    if (compact_every > 0 && ++batches % compact_every == 0 && twin.compact()) at_commit(twin);
+  }
+  if (compact_every > 0 && twin.compact()) at_commit(twin);
+}
+
 // The recovery answer of every batch-commit state of `all` fed in
 // `batch`-event spans, the empty stream's included, from a sequential
 // keep-all twin.
-std::set<LineKey> commit_lines(int num_processes,
-                               std::span<const StreamEvent> all,
+std::set<LineKey> commit_lines(int num_processes, std::span<const StreamEvent> all,
                                std::size_t batch) {
-  OnlineEngine twin(EngineOptions{num_processes});
   std::set<LineKey> lines;
-  RecoveryOutcome last = twin.recovery_line().value;
-  lines.insert(line_key(last));
-  for (std::size_t i = 0; i < all.size(); i += batch) {
-    twin.feed(all.subspan(i, std::min(batch, all.size() - i)));
+  RecoveryOutcome last;
+  for_each_commit(EngineOptions{num_processes}, all, batch, 0, [&](const OnlineEngine& twin) {
     const RecoveryOutcome rec = twin.recovery_line().value;
-    EXPECT_TRUE(leq(last.line, rec.line))
+    EXPECT_TRUE(last.line.indices.empty() || leq(last.line, rec.line))
         << "the twin's recovery line moved back";
     lines.insert(line_key(rec));
     last = rec;
-  }
+  });
   return lines;
 }
 
@@ -574,12 +630,108 @@ class LineWatch {
   std::atomic<long long> backwards_{0};
 };
 
+// Every cheap answer of one commit state. resident_bytes is left out of
+// the retention counters: it measures reader-side capacity too, which
+// differs between the twin and an engine its readers hammer.
+struct CommitAnswer {
+  OnlineStats stats;
+  bool rdt = false;
+  long long events = 0;
+  RetentionStats retention;
+  std::vector<CkptIndex> interval;  // [p] current_interval
+  std::vector<Tdv> tdv;             // [p] live_tdv
+  std::vector<VectorClock> clock;   // [p] live_clock
+  std::vector<CkptIndex> horizon;   // [p] first_retained
+};
+
+RetentionStats counted(RetentionStats r) {
+  r.resident_bytes = 0;
+  return r;
+}
+
+CommitAnswer commit_answer(const OnlineEngine& e) {
+  CommitAnswer a{e.stats().value, e.is_rdt_so_far(), e.events_consumed(),
+                 counted(e.retention_stats()), {}, {}, {}, {}};
+  for (ProcessId p = 0; p < e.num_processes(); ++p) {
+    a.interval.push_back(e.current_interval(p));
+    a.tdv.push_back(e.live_tdv(p));
+    a.clock.push_back(e.live_clock(p));
+    a.horizon.push_back(e.first_retained(p));
+  }
+  return a;
+}
+
+// What concurrent readers saw of the cheap queries. Each answer, taken on
+// its own, must be that query's answer at some commit of the sequential
+// twin: a reader never sees a state between two commits.
+class CommitWatch {
+ public:
+  // Feeds the twin on the feeder's schedule (see for_each_commit).
+  CommitWatch(const EngineOptions& options, std::span<const StreamEvent> all, std::size_t batch,
+              std::size_t compact_every) {
+    for_each_commit(options, all, batch, compact_every,
+                    [&](const OnlineEngine& twin) { commits_.push_back(commit_answer(twin)); });
+  }
+
+  void stats(const OnlineStats& s) {
+    check(kStats, [&](const CommitAnswer& c) { return c.stats == s; });
+  }
+  void rdt(bool r) {
+    check(kRdt, [&](const CommitAnswer& c) { return c.rdt == r; });
+  }
+  void events(long long n) {
+    check(kEvents, [&](const CommitAnswer& c) { return c.events == n; });
+  }
+  void retention(const RetentionStats& r) {
+    check(kRetention, [&](const CommitAnswer& c) { return c.retention == counted(r); });
+  }
+  void interval(ProcessId p, CkptIndex x) {
+    check(kInterval, [&](const CommitAnswer& c) { return c.interval[idx(p)] == x; });
+  }
+  void tdv(ProcessId p, const Tdv& t) {
+    check(kTdv, [&](const CommitAnswer& c) { return c.tdv[idx(p)] == t; });
+  }
+  void clock(ProcessId p, const VectorClock& v) {
+    check(kClock, [&](const CommitAnswer& c) { return c.clock[idx(p)] == v; });
+  }
+  void horizon(ProcessId p, CkptIndex h) {
+    check(kHorizon, [&](const CommitAnswer& c) { return c.horizon[idx(p)] == h; });
+  }
+
+  void expect_clean() const {
+    for (std::size_t k = 0; k < kKinds; ++k) {
+      EXPECT_EQ(foreign_[k].load(), 0)
+          << "readers saw " << kNames[k] << " answers no batch commit produced";
+    }
+  }
+
+ private:
+  enum Kind : std::size_t {
+    kStats, kRdt, kEvents, kRetention, kInterval, kTdv, kClock, kHorizon, kKinds
+  };
+  static constexpr std::array<const char*, kKinds> kNames = {
+      "stats()", "is_rdt_so_far()", "events_consumed()", "retention_stats()",
+      "current_interval()", "live_tdv()", "live_clock()", "first_retained()"};
+
+  static std::size_t idx(ProcessId p) { return static_cast<std::size_t>(p); }
+
+  template <typename Pred>
+  void check(Kind kind, Pred&& seen_at) {
+    if (std::none_of(commits_.begin(), commits_.end(), seen_at))
+      foreign_[kind].fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::vector<CommitAnswer> commits_;
+  std::array<std::atomic<long long>, kKinds> foreign_{};
+};
+
 // The seqlock torture case: one feeder streaming batches while FOUR reader
 // threads hammer every query — the wait-free ones (which retry under the
 // seqlock) and the heavy cached ones (which serialize on the reader mutex
 // only). Run under TSan in CI, this is the proof the read path takes no
-// lock the feeder holds; every recovery answer a reader sees must be a
-// batch-commit answer, and the end state must still be exact.
+// lock the feeder holds; every recovery answer and every cheap answer a
+// reader sees must be a batch-commit answer, and the end state must still
+// be exact.
 TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
@@ -591,6 +743,7 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
   const std::span<const StreamEvent> all(ops);
   constexpr std::size_t kBatch = 64;
   LineWatch watch(commit_lines(cfg.num_processes, all, kBatch));
+  CommitWatch commits(EngineOptions{cfg.num_processes}, all, kBatch, 0);
 
   OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
@@ -598,18 +751,32 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&engine, &done, &started, &watch, t] {
+    readers.emplace_back([&engine, &done, &started, &watch, &commits, t] {
       long long sink = 0;
       GlobalCkpt last;
       ProcessId p = static_cast<ProcessId>(t % engine.num_processes());
       started.fetch_add(1, std::memory_order_release);
       while (!done.load(std::memory_order_acquire)) {
-        sink += engine.is_rdt_so_far() ? 1 : 0;
-        sink += engine.events_consumed();
-        sink += engine.current_interval(p);
-        sink += engine.live_tdv(p).back();
-        sink += engine.live_clock(p).get(p);
+        const long long events = engine.events_consumed();
+        commits.events(events);
+        const CkptIndex interval = engine.current_interval(p);
+        commits.interval(p, interval);
+        sink += events + interval;
+        if (t == 3) {
+          // Reader 3 polls only these two single-value queries, so no
+          // multi-value snapshot paces it to the commits.
+          p = static_cast<ProcessId>((p + 1) % engine.num_processes());
+          continue;
+        }
+        const bool rdt = engine.is_rdt_so_far();
+        commits.rdt(rdt);
+        const Tdv tdv = engine.live_tdv(p);
+        commits.tdv(p, tdv);
+        const VectorClock clock = engine.live_clock(p);
+        commits.clock(p, clock);
         const OnlineStats s = engine.stats().value;
+        commits.stats(s);
+        sink += (rdt ? 1 : 0) + tdv.back() + clock.get(p);
         sink += s.events + s.checkpoints;
         if (t % 2 == 0) {
           const RecoveryOutcome rec = engine.recovery_line().value;
@@ -630,6 +797,7 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
   done.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
   watch.expect_clean();
+  commits.expect_clean();
 
   const std::vector<std::size_t> deliver_pos = deliver_positions(ops);
   expect_prefix_equivalence(
@@ -638,14 +806,100 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
       ops.size());
 }
 
+// A query that lands mid-batch returns the previous commit at once: the
+// seqlock brackets only publish()'s copy, never the batch. One long batch
+// (a message ring with periodic checkpoints; ~70 ms in a Release build)
+// runs while a reader times each is_rdt_so_far() + stats() pair. Every
+// answer must be the pre-batch or the post-batch commit, the reader must
+// still get pre-batch answers in the batch's second half, and its slowest
+// pair must stay far below the batch's wall time. Run under TSan in CI.
+TEST(OnlineConcurrency, CheapQueriesDoNotWaitForABatch) {
+  constexpr int kProcs = 4;
+  constexpr std::size_t kEvents = 800000;
+  constexpr std::size_t kWarm = 64;
+  std::vector<StreamEvent> ops;
+  ops.reserve(kEvents + 1);
+  std::vector<CkptIndex> index(kProcs, 0);
+  for (MsgId m = 0; ops.size() < kEvents; ++m) {
+    const ProcessId p = static_cast<ProcessId>(m % kProcs);
+    const ProcessId q = static_cast<ProcessId>((p + 1) % kProcs);
+    ops.push_back(StreamEvent::send(m, p, q));
+    ops.push_back(StreamEvent::deliver(m, p, q));
+    if (m % 2 == 1) {  // every process checkpoints every eighth message
+      const auto c = static_cast<ProcessId>((m / 2) % kProcs);
+      ops.push_back(StreamEvent::checkpoint(c, ++index[static_cast<std::size_t>(c)]));
+    }
+  }
+  const std::span<const StreamEvent> all(ops);
+
+  OnlineEngine engine(EngineOptions{kProcs});
+  engine.feed(all.first(kWarm));
+  const OnlineStats before = engine.stats().value;
+  const bool rdt_before = engine.is_rdt_so_far();
+
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> done{false};
+  std::atomic<long long> calls{0};
+  // Written by the reader, read after join().
+  Clock::duration slowest{};
+  Clock::time_point last_before_end;  // end of the last pre-batch answer
+  Clock::time_point first_after_start = Clock::time_point::max();
+  std::optional<OnlineStats> after_seen;
+  long long foreign = 0;  // answers of neither commit
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const Clock::time_point t0 = Clock::now();
+      const bool rdt = engine.is_rdt_so_far();
+      const OnlineStats s = engine.stats().value;
+      const Clock::time_point t1 = Clock::now();
+      slowest = std::max(slowest, t1 - t0);
+      if (s == before) {
+        // is_rdt_so_far() ran first, so it saw the pre-batch commit too.
+        if (rdt != rdt_before) ++foreign;
+        last_before_end = t1;
+      } else if (!after_seen) {
+        after_seen = s;
+        first_after_start = t0;
+      } else if (s != *after_seen) {
+        ++foreign;
+      }
+      calls.fetch_add(1, std::memory_order_release);
+    }
+  });
+
+  while (calls.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+  const Clock::time_point start = Clock::now();
+  engine.feed(all.subspan(kWarm));
+  const Clock::duration wall = Clock::now() - start;
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  SCOPED_TRACE("batch of " + std::to_string(all.size() - kWarm) + " events took " +
+               std::to_string(ms(wall)) + " ms; slowest pair " + std::to_string(ms(slowest)) +
+               " ms over " + std::to_string(calls.load()) + " pairs");
+  EXPECT_EQ(foreign, 0) << "the reader saw answers of neither commit";
+  if (after_seen) {
+    EXPECT_EQ(*after_seen, engine.stats().value);
+    EXPECT_GE(first_after_start, last_before_end) << "a pre-batch answer followed the commit";
+  }
+  EXPECT_GE(last_before_end, start + wall / 2)
+      << "the reader got no pre-batch answer in the batch's second half";
+  EXPECT_LT(slowest, wall / 4) << "a query waited for the batch";
+}
+
 // Readers racing compaction: the feeder interleaves feed() batches with
 // compact() passes (which rebuild the published logs under the seqlock and
 // the reader-cache under its mutex) while three reader threads hammer every
 // query — including zreach on ids that cross the moving retention horizon,
 // whose status may legitimately flip to kEvicted but must never tear or
 // return a guessed value. Run under TSan in CI; every recovery answer a
-// reader sees must be a batch-commit answer of a keep-all twin, and the
-// retained end state must still match a keep-all engine's.
+// reader sees must be a batch-commit answer of a keep-all twin, every cheap
+// answer (retention_stats() and first_retained() included) a commit answer
+// of a twin on the same feed/compact schedule, and the retained end state
+// must still match a keep-all engine's.
 TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
@@ -656,28 +910,45 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
   const std::span<const StreamEvent> all(ops);
   constexpr std::size_t kBatch = 48;
+  constexpr std::size_t kCompactEvery = 4;
   LineWatch watch(commit_lines(cfg.num_processes, all, kBatch));
 
   RetentionPolicy policy;
   policy.enabled = true;
   policy.compact_every_events = 0;  // the feeder compacts explicitly below
   policy.min_evictable_checkpoints = 1;
-  OnlineEngine engine(EngineOptions{cfg.num_processes, policy});
+  const EngineOptions options{cfg.num_processes, policy};
+  CommitWatch commits(options, all, kBatch, kCompactEvery);
+  OnlineEngine engine(options);
   std::atomic<bool> done{false};
   std::atomic<int> started{0};
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&engine, &done, &started, &watch, t] {
+    readers.emplace_back([&engine, &done, &started, &watch, &commits, t] {
       long long sink = 0;
       GlobalCkpt last;
       ProcessId p = static_cast<ProcessId>(t % engine.num_processes());
       started.fetch_add(1, std::memory_order_release);
       while (!done.load(std::memory_order_acquire)) {
-        sink += engine.is_rdt_so_far() ? 1 : 0;
-        sink += engine.stats().value.checkpoints;
-        sink += engine.first_retained(p);
-        sink += engine.retention_stats().evicted_checkpoints;
+        const bool rdt = engine.is_rdt_so_far();
+        commits.rdt(rdt);
+        const OnlineStats s = engine.stats().value;
+        commits.stats(s);
+        const long long events = engine.events_consumed();
+        commits.events(events);
+        const CkptIndex horizon = engine.first_retained(p);
+        commits.horizon(p, horizon);
+        const CkptIndex interval = engine.current_interval(p);
+        commits.interval(p, interval);
+        const Tdv tdv = engine.live_tdv(p);
+        commits.tdv(p, tdv);
+        const VectorClock clock = engine.live_clock(p);
+        commits.clock(p, clock);
+        const RetentionStats retained = engine.retention_stats();
+        commits.retention(retained);
+        sink += (rdt ? 1 : 0) + s.checkpoints + events + horizon + interval;
+        sink += tdv.back() + clock.get(p) + retained.evicted_checkpoints;
         const ZreachResult z = engine.zreach({p, 0}, {0, 0});
         sink += z.ok() && z.value ? 1 : 0;
         const RecoveryOutcome rec = engine.recovery_line().value;
@@ -693,12 +964,13 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   std::size_t batches = 0;
   for (std::size_t i = 0; i < all.size(); i += kBatch) {
     engine.feed(all.subspan(i, std::min(kBatch, all.size() - i)));
-    if (++batches % 4 == 0) engine.compact();
+    if (++batches % kCompactEvery == 0) engine.compact();
   }
   engine.compact();
   done.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
   watch.expect_clean();
+  commits.expect_clean();
 
   // Retained-state answers still match a keep-all engine.
   OnlineEngine keepall(EngineOptions{cfg.num_processes});

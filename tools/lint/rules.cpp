@@ -150,10 +150,11 @@ void rule_obs_hot_path(const FileInput& file, std::string_view stripped,
 // ---------------------------------------------------------------------------
 // ticket-atomics: every member the feeder mutates in a TU that brackets its
 // writes with a seqlock WriteTicket must be atomic (readers load it
-// race-free), a PublishedLog (release/acquire publication), a mutex, or on
-// the audited feeder-private allowlist below (state readers never touch).
-// A plain member mutated in such a TU is exactly the bug the seqlock write
-// bracket exists to prevent: a torn read on the lock-free query path.
+// race-free), a PublishedLog (its owner publishes the count), a mutex, or
+// on the audited feeder-private allowlist below (state readers never touch:
+// they see it only through the view the seqlock-bracketed copy writes).
+// A plain member mutated in such a TU and read on the lock-free query path
+// is exactly the bug the seqlock exists to prevent: a torn read.
 
 // Feeder-private state, audited: guarded by feed_mu_ (or rc_.mu for rc_)
 // and never read by the lock-free query path. Each entry is a deliberate,
@@ -166,7 +167,7 @@ constexpr std::array<std::string_view, 15> kTicketAllowlist = {
     "tdv_pool_",   // recycled piggyback buffers, GUARDED_BY(feed_mu_)
     "clock_pool_", // recycled piggyback buffers, GUARDED_BY(feed_mu_)
     "node_ids_",   // feeder-side node table, GUARDED_BY(feed_mu_)
-    "deferred_publish_",  // feeder-only batching flag, GUARDED_BY(feed_mu_)
+    "counters_",   // feeder's counters, copied out by publish(), GUARDED_BY(feed_mu_)
     "rc_",         // reader cache, all fields GUARDED_BY(rc_.mu)
     "retention_",  // retention policy, set at init/reset, GUARDED_BY(feed_mu_)
     "msgs_base_",  // message-window base, GUARDED_BY(feed_mu_)
@@ -229,8 +230,8 @@ void collect_members(std::string_view stripped, std::vector<Member>& out) {
                       [&](const Member& x) { return x.name == m.name; }))
         break;
       if (type.find("atomic") != std::string_view::npos ||
-          type.find("PubProc") != std::string_view::npos)
-        m.cls = MemberClass::kAtomic;  // PubProc: a struct of atomics
+          type.find("View") != std::string_view::npos)
+        m.cls = MemberClass::kAtomic;  // View: the engine's struct of atomics
       else if (type.find("PublishedLog") != std::string_view::npos)
         m.cls = MemberClass::kLog;
       else if (type.find("Mutex") != std::string_view::npos ||
