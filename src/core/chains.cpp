@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
+#include <utility>
 
 #include "util/check.hpp"
+#include "util/scc.hpp"
 
 namespace rdt {
 
@@ -23,58 +26,62 @@ ChainAnalysis::ChainAnalysis(const Pattern& pattern) : pattern_(&pattern) {
   //    deliveries (simple junctions must not cross a checkpoint);
   //  * open_sends — sends of the current interval, each of which forms a
   //    non-causal junction with every later delivery in the interval.
+  // Each union carries its per-process maxima alongside (the maximum of a
+  // union is the maximum of the parts' maxima), which is what makes the
+  // doubling queries O(1) without ever decoding a start bitset.
   std::vector<BitVector> acc_causal(n, BitVector(nodes));
   std::vector<BitVector> acc_simple(n, BitVector(nodes));
+  std::vector<CkptIndex> acc_causal_max(n * n, 0);
+  std::vector<CkptIndex> acc_simple_max(n * n, 0);
   std::vector<std::vector<MsgId>> open_sends(n);
+  max_causal_start_.assign(msgs * n, 0);
+  max_simple_start_.assign(msgs * n, 0);
+  const auto max_into = [n](CkptIndex* dst, const CkptIndex* src) {
+    for (std::size_t k = 0; k < n; ++k) dst[k] = std::max(dst[k], src[k]);
+  };
 
   for (const EventRef& e : pattern.topological_order()) {
     const auto p = static_cast<std::size_t>(e.process);
     const Event& ev = pattern.event(e);
     switch (ev.kind) {
       case EventKind::kSend: {
+        const auto id = static_cast<std::size_t>(ev.msg);
         const Message& m = pattern.message(ev.msg);
         const auto self = static_cast<std::size_t>(
             pattern.node_id({m.sender, m.send_interval}));
-        auto& cs = causal_starts_[static_cast<std::size_t>(ev.msg)];
+        auto& cs = causal_starts_[id];
         cs = acc_causal[p];
         cs.set(self);
-        auto& ss = simple_causal_starts_[static_cast<std::size_t>(ev.msg)];
+        auto& ss = simple_causal_starts_[id];
         ss = acc_simple[p];
         ss.set(self);
+        CkptIndex* cmax = &max_causal_start_[id * n];
+        CkptIndex* smax = &max_simple_start_[id * n];
+        std::copy_n(&acc_causal_max[p * n], n, cmax);
+        std::copy_n(&acc_simple_max[p * n], n, smax);
+        cmax[p] = std::max(cmax[p], m.send_interval);
+        smax[p] = std::max(smax[p], m.send_interval);
         open_sends[p].push_back(ev.msg);
         break;
       }
       case EventKind::kDeliver: {
+        const auto id = static_cast<std::size_t>(ev.msg);
         for (MsgId out : open_sends[p])
           noncausal_.push_back({ev.msg, out, e.process});
-        acc_causal[p].merge(causal_starts_[static_cast<std::size_t>(ev.msg)]);
-        acc_simple[p].merge(
-            simple_causal_starts_[static_cast<std::size_t>(ev.msg)]);
+        acc_causal[p].merge(causal_starts_[id]);
+        acc_simple[p].merge(simple_causal_starts_[id]);
+        max_into(&acc_causal_max[p * n], &max_causal_start_[id * n]);
+        max_into(&acc_simple_max[p * n], &max_simple_start_[id * n]);
         break;
       }
       case EventKind::kCheckpoint:
         acc_simple[p].reset();
+        std::fill_n(&acc_simple_max[p * n], n, 0);
         open_sends[p].clear();
         break;
       case EventKind::kInternal:
         break;
     }
-  }
-
-  // Per-process maxima of the start bitsets (O(1) doubling queries later).
-  max_causal_start_.assign(msgs * n, 0);
-  max_simple_start_.assign(msgs * n, 0);
-  const auto collect = [&](const BitVector& bits, CkptIndex* out) {
-    for (std::size_t node = bits.find_next(0); node < bits.size();
-         node = bits.find_next(node + 1)) {
-      const CkptId c = pattern.node_ckpt(static_cast<int>(node));
-      CkptIndex& slot = out[static_cast<std::size_t>(c.process)];
-      slot = std::max(slot, c.index);
-    }
-  };
-  for (std::size_t m = 0; m < msgs; ++m) {
-    collect(causal_starts_[m], &max_causal_start_[m * n]);
-    collect(simple_causal_starts_[m], &max_simple_start_[m * n]);
   }
 
   // The junction-graph CSR. Messages carry increasing send positions per
@@ -184,83 +191,26 @@ void ChainAnalysis::build_zreach(bool causal_only) const {
   const auto t0 = std::chrono::steady_clock::now();
   const int msgs = pattern_->num_messages();
   ZReachTable& table = zreach_[causal_only ? 1 : 0];
-  table.comp.assign(static_cast<std::size_t>(msgs), -1);
 
-  // Iterative Tarjan over the implicit CSR. Condensation node ids are
-  // assigned in completion order, i.e. reverse-topologically: every
-  // successor component of a component c has an id < c.
-  struct Frame {
-    MsgId v;
-    std::size_t next;
-    std::size_t end;
-  };
-  std::vector<int> index(static_cast<std::size_t>(msgs), -1);
-  std::vector<int> low(static_cast<std::size_t>(msgs), 0);
-  std::vector<char> on_stack(static_cast<std::size_t>(msgs), 0);
-  std::vector<MsgId> stack;
-  std::vector<Frame> dfs;
-  int next_index = 0;
-  int num_comps = 0;
-
-  const auto push_node = [&](MsgId v) {
-    index[static_cast<std::size_t>(v)] = low[static_cast<std::size_t>(v)] =
-        next_index++;
-    stack.push_back(v);
-    on_stack[static_cast<std::size_t>(v)] = 1;
+  // Tarjan over the implicit CSR; component ids come out reverse-
+  // topologically (every successor component of c has an id < c).
+  Condensation scc = condense_scc(msgs, [&](MsgId v) {
     const auto [begin, end] = succ_range(v, causal_only);
-    dfs.push_back({v, begin, end});
-  };
-
-  for (MsgId root = 0; root < msgs; ++root) {
-    if (index[static_cast<std::size_t>(root)] != -1) continue;
-    push_node(root);
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      if (f.next < f.end) {
-        const MsgId w = sends_by_proc_[static_cast<std::size_t>(
-            pattern_->message(f.v).receiver)][f.next++];
-        if (index[static_cast<std::size_t>(w)] == -1) {
-          push_node(w);
-        } else if (on_stack[static_cast<std::size_t>(w)]) {
-          low[static_cast<std::size_t>(f.v)] =
-              std::min(low[static_cast<std::size_t>(f.v)],
-                       index[static_cast<std::size_t>(w)]);
-        }
-        continue;
-      }
-      const MsgId v = f.v;
-      if (low[static_cast<std::size_t>(v)] ==
-          index[static_cast<std::size_t>(v)]) {
-        MsgId member;
-        do {
-          member = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(member)] = 0;
-          table.comp[static_cast<std::size_t>(member)] = num_comps;
-        } while (member != v);
-        ++num_comps;
-      }
-      dfs.pop_back();
-      if (!dfs.empty())
-        low[static_cast<std::size_t>(dfs.back().v)] =
-            std::min(low[static_cast<std::size_t>(dfs.back().v)],
-                     low[static_cast<std::size_t>(v)]);
-    }
-  }
+    return std::span<const MsgId>(
+               sends_by_proc_[static_cast<std::size_t>(pattern_->message(v).receiver)])
+        .subspan(begin, end - begin);
+  });
 
   // One reverse-topological word-parallel sweep: a component reaches its
   // members' own delivery intervals plus everything its successor
   // components reach — and those rows are already final.
-  std::vector<std::vector<MsgId>> members(static_cast<std::size_t>(num_comps));
-  for (MsgId m = 0; m < msgs; ++m)
-    members[static_cast<std::size_t>(table.comp[static_cast<std::size_t>(m)])]
-        .push_back(m);
-  table.rows.assign(static_cast<std::size_t>(num_comps),
+  table.comp = std::move(scc.comp);
+  table.rows.assign(static_cast<std::size_t>(scc.size()),
                     BitVector(static_cast<std::size_t>(pattern_->total_ckpts())));
   int largest = 0;
-  for (int c = 0; c < num_comps; ++c) {
+  for (int c = 0; c < scc.size(); ++c) {
     BitVector& row = table.rows[static_cast<std::size_t>(c)];
-    const auto& group = members[static_cast<std::size_t>(c)];
+    const std::span<const MsgId> group = scc.component(c);
     largest = std::max(largest, static_cast<int>(group.size()));
     for (MsgId m : group) {
       const Message& msg = pattern_->message(m);

@@ -28,10 +28,19 @@ struct RdtReport {
 
 std::ostream& operator<<(std::ostream& os, const RdtReport& report);
 
-// Runs all checkers. Cost: O(C^2) closure plus junction scans, where C is
-// the total checkpoint count — intended for analysis/validation, not for
-// the inner loop of a simulation. The five junction-based families run as
-// one fused pass (check_junction_families).
+// Runs all checkers. C is the total checkpoint count, E the R-graph edge
+// count, J the number of non-causal junctions. Cost:
+//  * the R-graph closure — one SCC condensation, then one reverse-
+//    topological OR of C-bit rows: O(C + E) graph work plus O(E * C / 64)
+//    word work, and two C x C bit planes of memory;
+//  * the definitional check — every closure row counted against a
+//    per-process TDV mask: O(C * C / 64);
+//  * the five junction-based families, fused into one pass
+//    (check_junction_families) — each junction's start bitsets counted
+//    against two per-process prefix masks, O(J * C / 64), plus the
+//    visible-doubling scan over the target process's deliveries.
+// Intended for analysis/validation, not for the inner loop of a
+// simulation.
 RdtReport analyze_rdt(const Pattern& pattern);
 // Same on analyses the caller already built (and can keep reusing).
 RdtReport analyze_rdt(const RdtAnalyses& analyses);

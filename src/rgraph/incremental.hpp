@@ -1,9 +1,9 @@
 // Incrementally extended two-layer reachability over a growing R-graph.
 //
-// IncrementalReach is the pure incremental step the batch
-// ReachabilityClosure folds: nodes and edges are appended one at a time
-// (never removed — an R-graph only grows as the computation runs), and both
-// closure relations stay queryable after every append:
+// IncrementalReach maintains the two relations of the batch
+// ReachabilityClosure while nodes and edges are appended one at a time
+// (never removed — an R-graph only grows as the computation runs); both
+// stay queryable after every append:
 //  * reach(a, b)     — an R-path (possibly empty) from a to b;
 //  * msg_reach(a, b) — an R-path from a to b with >= 1 message edge.
 //
@@ -23,6 +23,11 @@
 // the total work per row is O(V + E) over the row's whole lifetime —
 // amortized O(1) per appended edge per live row, with no recomputation of
 // already-known reachability.
+//
+// That is the right trade for the online engine's zreach cache, where few
+// rows are live at a time. A full closure built this way costs
+// O(V * (V + E)) single-bit work, so the batch ReachabilityClosure
+// condenses the finished graph instead (rgraph/reachability.hpp).
 #pragma once
 
 #include <cstddef>
@@ -30,8 +35,6 @@
 #include <memory>
 #include <utility>
 #include <vector>
-
-#include "util/bit_matrix.hpp"
 
 namespace rdt {
 
@@ -64,10 +67,6 @@ class IncrementalReach {
   // its row, later ones catch it up with the edge log.
   bool reach(int from, int to);
   bool msg_reach(int from, int to);
-
-  // Copy the current closure rows of `from` into caller-provided spans
-  // (bits OR-ed in; pass zeroed spans of width num_nodes()).
-  void snapshot(int from, BitSpan reach_out, BitSpan msg_reach_out);
 
   // Heap payload of the graph: adjacency, edge log, materialized and pooled
   // closure rows (capacities, per util/mem_accounting.hpp's convention).

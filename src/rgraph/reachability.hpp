@@ -10,6 +10,12 @@
 // process-edge paths carry no rollback dependency through messages, so e.g.
 // Z-cycle detection (msg_reach(c, c)) and Netzer–Xu compatibility must
 // exclude them.
+//
+// Both planes come out of one pass: Tarjan condenses the R-graph, then the
+// rows are OR-ed together in reverse topological order of the components,
+// so every row is written once from rows that are already final —
+// O(V + E) graph work and O(E * V / 64) word work. (The online engine's
+// IncrementalReach maintains the same two relations under appends.)
 #pragma once
 
 #include <utility>
@@ -49,9 +55,10 @@ class ReachabilityClosure {
   BitMatrix msg_reach_;  // closure restricted to paths using a message edge
 };
 
-// Audit-tier (RDT_AUDIT) cross-validation: re-derives both closures from
-// independent per-node BFS sweeps over the R-graph and compares them to the
-// word-parallel Warshall result row by row. No-op unless the build defines
+// Audit-tier (RDT_AUDIT) cross-validation: re-derives both closures twice —
+// a word-parallel Warshall closure plus the message-edge OR pass, and
+// independent per-node BFS sweeps over the R-graph — and compares them to
+// the condensed rows row by row. No-op unless the build defines
 // RDT_AUDITS; a mismatch throws rdt::audit_failure. O(V * (V + E)). Also
 // invoked automatically by the ReachabilityClosure constructor in audit
 // builds.

@@ -895,15 +895,17 @@ TEST(OnlineConcurrency, CheapQueriesDoNotWaitForABatch) {
 // the reader-cache under its mutex) while three reader threads hammer every
 // query — including zreach on ids that cross the moving retention horizon,
 // whose status may legitimately flip to kEvicted but must never tear or
-// return a guessed value. Run under TSan in CI; every recovery answer a
-// reader sees must be a batch-commit answer of a keep-all twin, every cheap
-// answer (retention_stats() and first_retained() included) a commit answer
-// of a twin on the same feed/compact schedule, and the retained end state
-// must still match a keep-all engine's.
+// return a guessed value — and a fourth polls only the retention answers.
+// Run under TSan in CI; every recovery answer a reader sees must be a
+// batch-commit answer of a keep-all twin, every cheap answer
+// (retention_stats() and first_retained() included) a commit answer of a
+// twin on the same feed/compact schedule, and the retained end state must
+// still match a keep-all engine's. The stream is long enough that a
+// retention counter published before its commit is caught in every run.
 TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
-  cfg.duration = 600.0;  // ~100 batch commits for readers to race
+  cfg.duration = 1200.0;  // ~320 commits, ~140 late edges for readers to race
   cfg.basic_ckpt_mean = 4.0;
   cfg.seed = 19;
   const std::vector<StreamEvent> ops =
@@ -924,13 +926,26 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   std::atomic<int> started{0};
 
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&engine, &done, &started, &watch, &commits, t] {
       long long sink = 0;
       GlobalCkpt last;
       ProcessId p = static_cast<ProcessId>(t % engine.num_processes());
       started.fetch_add(1, std::memory_order_release);
       while (!done.load(std::memory_order_acquire)) {
+        if (t == 3) {
+          // Reader 3 polls only the retention answers. Its tight loop
+          // samples each batch and compaction many times over, so a counter
+          // that became visible before its commit (the late-edge count
+          // bumped mid-batch, say) does not slip between two samples.
+          const RetentionStats retained = engine.retention_stats();
+          commits.retention(retained);
+          const CkptIndex horizon = engine.first_retained(p);
+          commits.horizon(p, horizon);
+          sink += retained.evicted_checkpoints + horizon;
+          p = static_cast<ProcessId>((p + 1) % engine.num_processes());
+          continue;
+        }
         const bool rdt = engine.is_rdt_so_far();
         commits.rdt(rdt);
         const OnlineStats s = engine.stats().value;
@@ -960,7 +975,7 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
     });
   }
 
-  while (started.load(std::memory_order_acquire) < 3) std::this_thread::yield();
+  while (started.load(std::memory_order_acquire) < 4) std::this_thread::yield();
   std::size_t batches = 0;
   for (std::size_t i = 0; i < all.size(); i += kBatch) {
     engine.feed(all.subspan(i, std::min(kBatch, all.size() - i)));
