@@ -24,39 +24,85 @@ std::vector<bool> pin_mask(const Pattern& p, std::span<const CkptId> pins) {
   return pinned;
 }
 
+// Both fixpoints are worklists over processes. A component moves one way
+// only, so each message needs one look, taken when it first becomes a
+// candidate orphan: in the raise-sender fixpoint when its delivery enters
+// the cut, in the lower-receiver one when its send leaves it. scanned[i]
+// records how far P_i's events have been looked at; a process whose
+// component moved past that mark goes back on the worklist.
+
 // Raise-sender fixpoint. Returns false iff repairing an orphan would move a
-// pinned component. A repair moves a component one way for good, so repairs
-// are few next to the scan's visits (every message, every pass): both
-// fixpoints keep the repair out of line and the scan loop contiguous.
+// pinned component. When g[j] rises to y, only P_j's deliveries up to
+// C_{j,y} not yet looked at can be new orphans.
 bool min_fixpoint(const Pattern& p, GlobalCkpt& g, const std::vector<bool>& pinned) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Message& m : p.messages()) {
-      auto& x = g.indices[static_cast<std::size_t>(m.sender)];
-      const auto y = g.indices[static_cast<std::size_t>(m.receiver)];
-      if (m.send_interval > x && m.deliver_interval <= y) [[unlikely]] {
-        if (pinned[static_cast<std::size_t>(m.sender)]) return false;
-        x = m.send_interval;
-        changed = true;
+  const auto n = static_cast<std::size_t>(p.num_processes());
+  std::vector<CkptIndex> scanned(n, 0);  // deliveries up to C_{j,scanned[j]}
+  std::vector<ProcessId> work;
+  std::vector<char> queued(n, 0);
+  const auto enqueue = [&](std::size_t j) {
+    if (g.indices[j] > scanned[j] && !queued[j]) {
+      queued[j] = 1;
+      work.push_back(static_cast<ProcessId>(j));
+    }
+  };
+  for (std::size_t j = 0; j < n; ++j) enqueue(j);
+  while (!work.empty()) {
+    const ProcessId j = work.back();
+    const auto ju = static_cast<std::size_t>(j);
+    work.pop_back();
+    queued[ju] = 0;
+    const EventIndex from = p.ckpt_pos(j, scanned[ju]) + 1;
+    scanned[ju] = g.indices[ju];
+    const EventIndex to = p.ckpt_pos(j, scanned[ju]);
+    for (EventIndex pos = from; pos < to; ++pos) {
+      const Event& e = p.event(j, pos);
+      if (e.kind != EventKind::kDeliver) continue;
+      const Message& m = p.message(e.msg);
+      const auto s = static_cast<std::size_t>(m.sender);
+      if (m.send_interval > g.indices[s]) {
+        if (pinned[s]) return false;
+        g.indices[s] = m.send_interval;
+        enqueue(s);
       }
     }
   }
   return true;
 }
 
-// Lower-receiver fixpoint, dual of the above.
+// Lower-receiver fixpoint, dual of the above: when g[i] drops to x, only
+// P_i's sends after C_{i,x} not yet looked at can be new orphans.
 bool max_fixpoint(const Pattern& p, GlobalCkpt& g, const std::vector<bool>& pinned) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Message& m : p.messages()) {
-      const auto x = g.indices[static_cast<std::size_t>(m.sender)];
-      auto& y = g.indices[static_cast<std::size_t>(m.receiver)];
-      if (m.send_interval > x && m.deliver_interval <= y) [[unlikely]] {
-        if (pinned[static_cast<std::size_t>(m.receiver)]) return false;
-        y = m.deliver_interval - 1;
-        changed = true;
+  const auto n = static_cast<std::size_t>(p.num_processes());
+  std::vector<CkptIndex> scanned(n);  // sends after C_{i,scanned[i]}
+  std::vector<ProcessId> work;
+  std::vector<char> queued(n, 0);
+  const auto enqueue = [&](std::size_t i) {
+    if (g.indices[i] < scanned[i] && !queued[i]) {
+      queued[i] = 1;
+      work.push_back(static_cast<ProcessId>(i));
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    scanned[i] = p.last_ckpt(static_cast<ProcessId>(i));
+    enqueue(i);
+  }
+  while (!work.empty()) {
+    const ProcessId i = work.back();
+    const auto iu = static_cast<std::size_t>(i);
+    work.pop_back();
+    queued[iu] = 0;
+    const EventIndex to = p.ckpt_pos(i, scanned[iu]);
+    scanned[iu] = g.indices[iu];
+    const EventIndex from = p.ckpt_pos(i, scanned[iu]) + 1;
+    for (EventIndex pos = from; pos < to; ++pos) {
+      const Event& e = p.event(i, pos);
+      if (e.kind != EventKind::kSend) continue;
+      const Message& m = p.message(e.msg);
+      const auto r = static_cast<std::size_t>(m.receiver);
+      if (m.deliver_interval <= g.indices[r]) {
+        if (pinned[r]) return false;
+        g.indices[r] = m.deliver_interval - 1;
+        enqueue(r);
       }
     }
   }

@@ -7,44 +7,23 @@ namespace rdt {
 
 AdaptiveProtocol::AdaptiveProtocol(int num_processes, ProcessId self)
     : CicProtocol(num_processes, self),
-      simple_(static_cast<std::size_t>(num_processes)),
-      causal_(static_cast<std::size_t>(num_processes),
-              static_cast<std::size_t>(num_processes)) {
-  // Same (S0) state as full BHMR: simple[i] true, causal diagonal true.
-  simple_.set(static_cast<std::size_t>(self));
-  causal_.set_diagonal(true);
-}
-
-bool AdaptiveProtocol::predicate_c1(const PiggybackView& msg) const {
-  for (std::size_t j = sent_to().find_next(0); j < sent_to().size();
-       j = sent_to().find_next(j + 1)) {
-    for (std::size_t k = 0; k < msg.tdv.size(); ++k)
-      if (msg.tdv[k] > tdv_[k] && !msg.causal.get(k, j)) return true;
-  }
-  return false;
-}
+      planes_(num_processes, self, /*diagonal=*/true) {}  // full BHMR's (S0)
 
 ForceReason AdaptiveProtocol::force_reason(const PiggybackView& msg,
                                            ProcessId) const {
-  if (mode_ == Mode::kLean) {
-    // FDAS's predicate; proven to fire whenever BHMR's C1 v C2 would.
-    if (!after_first_send()) return ForceReason::kNone;
-    for (std::size_t k = 0; k < msg.tdv.size(); ++k)
-      if (msg.tdv[k] > tdv_[k]) return ForceReason::kNewDependency;
-    return ForceReason::kNone;
-  }
-  if (predicate_c1(msg)) return ForceReason::kC1;
-  const auto self = static_cast<std::size_t>(self_);
-  return msg.tdv[self] == tdv_[self] && !msg.simple.get(self)
-             ? ForceReason::kC2
-             : ForceReason::kNone;
+  if (mode_ == Mode::kRich) return planes_.c1_or_c2(msg, tdv_, sent_to());
+  // FDAS's predicate; proven to fire whenever BHMR's C1 v C2 would.
+  if (!after_first_send()) return ForceReason::kNone;
+  for (std::size_t k = 0; k < msg.tdv.size(); ++k)
+    if (msg.tdv[k] > tdv_[k]) return ForceReason::kNewDependency;
+  return ForceReason::kNone;
 }
 
 void AdaptiveProtocol::fill_payload(const PiggybackSlot& out) const {
   ++window_sends_;
   if (mode_ == Mode::kRich) {
-    out.simple.assign(simple_);
-    out.causal.assign(causal_.view());
+    out.simple.assign(planes_.simple());
+    out.causal.assign(planes_.causal().view());
     return;
   }
   // Lean mode: claim no knowledge. Receivers treat the zero planes as
@@ -57,51 +36,22 @@ void AdaptiveProtocol::fill_payload(const PiggybackSlot& out) const {
 
 void AdaptiveProtocol::merge_payload(const PiggybackView& msg,
                                      ProcessId sender) {
-  RDT_REQUIRE(msg.causal.rows() == static_cast<std::size_t>(n_) &&
-                  msg.causal.cols() == static_cast<std::size_t>(n_) &&
-                  msg.simple.size() == static_cast<std::size_t>(n_),
-              "piggybacked plane size mismatch");
-  // Full BHMR bookkeeping in both modes (Figure 6's per-k case statement,
-  // against the pre-merge TDV) so a later switch to kRich is sound.
-  for (std::size_t k = 0; k < static_cast<std::size_t>(n_); ++k) {
-    if (msg.tdv[k] > tdv_[k]) {
-      simple_.set(k, msg.simple.get(k));
-      causal_.row(k).assign(msg.causal.row(k));
-    } else if (msg.tdv[k] == tdv_[k]) {
-      simple_.set(k, simple_.get(k) && msg.simple.get(k));
-      causal_.row(k).or_with(msg.causal.row(k));
-    }
-  }
-  const auto self = static_cast<std::size_t>(self_);
-  simple_.set(self);
-  const auto s = static_cast<std::size_t>(sender);
-  causal_.set(s, self, true);
-  for (std::size_t l = 0; l < static_cast<std::size_t>(n_); ++l)
-    if (causal_.get(l, s)) causal_.set(l, self, true);
-
+  // Full BHMR bookkeeping in both modes so a later switch to kRich is sound.
+  planes_.merge(msg, tdv_, sender, /*with_simple=*/true);
   ++window_delivers_;
   maybe_switch();
 }
 
-void AdaptiveProtocol::reset_on_checkpoint(bool /*forced*/) {
-  const auto self = static_cast<std::size_t>(self_);
-  for (std::size_t j = 0; j < static_cast<std::size_t>(n_); ++j) {
-    if (j == self) continue;
-    simple_.set(j, false);
-    causal_.set(self, j, false);
-  }
-}
+void AdaptiveProtocol::reset_on_checkpoint(bool /*forced*/) { planes_.reset(); }
 
 void AdaptiveProtocol::maybe_switch() {
   if (window_sends_ + window_delivers_ < kWindow) return;
   // Observed traffic shape over the closing window.
   const bool send_heavy = window_sends_ >= kSendHeavyRatio * window_delivers_;
-  std::size_t known = 0;
-  for (std::size_t r = 0; r < causal_.rows(); ++r)
-    known += causal_.row(r).count();
-  const auto cells =
-      static_cast<long long>(causal_.rows() * causal_.cols());
-  const bool sparse = static_cast<long long>(known) * kSparseDivisor < cells;
+  const BitMatrix& causal = planes_.causal();
+  const auto known = static_cast<long long>(causal.count());
+  const auto cells = static_cast<long long>(causal.rows() * causal.cols());
+  const bool sparse = known * kSparseDivisor < cells;
   const Mode want = (send_heavy || sparse) ? Mode::kLean : Mode::kRich;
   if (want != mode_) {
     mode_ = want;

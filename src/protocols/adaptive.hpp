@@ -32,7 +32,7 @@
 // ("protocol.adaptive.to_lean" / "protocol.adaptive.to_rich").
 #pragma once
 
-#include "protocols/protocol.hpp"
+#include "protocols/bhmr.hpp"
 
 namespace rdt {
 
@@ -63,20 +63,18 @@ class AdaptiveProtocol final : public CicProtocol {
   Mode mode() const { return mode_; }
   long long switches_to_lean() const { return to_lean_; }
   long long switches_to_rich() const { return to_rich_; }
-  const BitVector& simple_state() const { return simple_; }
-  const BitMatrix& causal_state() const { return causal_; }
+  const BitVector& simple_state() const { return planes_.simple(); }
+  const BitMatrix& causal_state() const { return planes_.causal(); }
 
  private:
   void fill_payload(const PiggybackSlot& out) const override;
   void merge_payload(const PiggybackView& msg, ProcessId sender) override;
   void reset_on_checkpoint(bool forced) override;
 
-  bool predicate_c1(const PiggybackView& msg) const;
   void maybe_switch();
 
   Mode mode_ = Mode::kRich;
-  BitVector simple_;
-  BitMatrix causal_;
+  BhmrPlanes planes_;
   // Window accounting. Sends are counted from the const fill_payload hook,
   // hence mutable; the mode itself only flips inside merge_payload.
   mutable long long window_sends_ = 0;

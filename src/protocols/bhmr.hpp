@@ -34,6 +34,46 @@
 
 namespace rdt {
 
+// Figure 6's simple/causal bookkeeping for one process, shared by the three
+// BHMR variants and AdaptiveProtocol. Every rule runs a word at a time over
+// the word-aligned rows of util/bit_matrix.hpp:
+//  * C1 ORs sent_to & ~m.causal[k] over the rows k with m.TDV[k] > TDV[k];
+//  * the per-k merge selects whole rows (copy where m.TDV[k] > TDV[k], OR
+//    where equal), and simple takes the same gt/eq masks a word at a time;
+//  * the closure through the sender is one column test per row;
+//  * a checkpoint clears simple and row self, bar the self bit, with one
+//    mask per word.
+class BhmrPlanes {
+ public:
+  // The (S0) state: simple[self] true, everything else false, the causal
+  // diagonal true unless `diagonal` is false (kC1Only pins it false).
+  BhmrPlanes(int num_processes, ProcessId self, bool diagonal);
+
+  const BitVector& simple() const { return simple_; }
+  const BitMatrix& causal() const { return causal_; }
+
+  // C1 against the local TDV and sent_to.
+  bool c1(const PiggybackView& msg, const Tdv& tdv, ConstBitSpan sent_to) const;
+  // C1 v C2, attributed to C1 when both hold.
+  ForceReason c1_or_c2(const PiggybackView& msg, const Tdv& tdv,
+                       ConstBitSpan sent_to) const;
+  // The delivery's merge against the pre-merge TDV (the caller merges the
+  // TDV itself afterwards), then the closure through the sender.
+  void merge(const PiggybackView& msg, const Tdv& tdv, ProcessId sender,
+             bool with_simple);
+  void reset();
+
+ private:
+  void check(const PiggybackView& msg, bool with_simple) const;
+
+  std::size_t n_;
+  std::size_t self_;
+  std::size_t words_;  // per row
+  bool diagonal_;
+  BitVector simple_;
+  BitMatrix causal_;
+};
+
 class BhmrProtocol final : public CicProtocol {
  public:
   enum class Variant { kFull, kNoSimple, kC1Only };
@@ -53,19 +93,16 @@ class BhmrProtocol final : public CicProtocol {
                            ProcessId sender) const override;
 
   // Exposed for white-box tests of the bookkeeping rules.
-  const BitVector& simple_state() const { return simple_; }
-  const BitMatrix& causal_state() const { return causal_; }
+  const BitVector& simple_state() const { return planes_.simple(); }
+  const BitMatrix& causal_state() const { return planes_.causal(); }
 
  private:
   void fill_payload(const PiggybackSlot& out) const override;
   void merge_payload(const PiggybackView& msg, ProcessId sender) override;
   void reset_on_checkpoint(bool forced) override;
 
-  bool predicate_c1(const PiggybackView& msg) const;
-
   Variant variant_;
-  BitVector simple_;
-  BitMatrix causal_;
+  BhmrPlanes planes_;
 };
 
 }  // namespace rdt

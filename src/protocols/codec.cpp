@@ -1,5 +1,6 @@
 #include "protocols/codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string>
@@ -121,26 +122,33 @@ void get_offsets(std::span<const std::uint8_t> bytes, std::size_t& at,
   }
 }
 
-// Set-bit positions of (a XOR b) over `words` 64-bit words.
-template <typename Visit>
-void for_each_diff_bit(const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t words, Visit&& visit) {
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t diff = a[w] ^ b[w];
-    while (diff != 0) {
-      const int bit = std::countr_zero(diff);
-      visit(w * 64 + static_cast<std::size_t>(bit));
-      diff &= diff - 1;
-    }
+// Appends the gap of every set bit of `bits`, whose bit 0 sits at `base`
+// (the position itself for the first bit of a list, pos - prev - 1 after;
+// `next` holds prev + 1), and counts them.
+void put_gaps(std::uint64_t bits, std::size_t base, std::size_t& next,
+              std::size_t& count, std::vector<std::uint8_t>& out) {
+  for (; bits != 0; bits &= bits - 1, ++count) {
+    const std::size_t pos = base + static_cast<std::size_t>(std::countr_zero(bits));
+    varint::put(pos - next, out);
+    next = pos + 1;
   }
 }
 
-std::size_t count_diff_bits(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < words; ++w)
-    count += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
-  return count;
+// Writes `count` into the one-byte placeholder at out[at], widening it when
+// the varint needs more bytes, so a plane's count and its list are written
+// in one pass.
+void patch_count(std::vector<std::uint8_t>& out, std::size_t at,
+                 std::size_t count) {
+  if (count < 0x80) {
+    out[at] = static_cast<std::uint8_t>(count);
+    return;
+  }
+  std::uint8_t buf[10];
+  std::size_t len = 0;
+  for (; count >= 0x80; count >>= 7) buf[len++] = static_cast<std::uint8_t>(count) | 0x80u;
+  buf[len++] = static_cast<std::uint8_t>(count);
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(at) + 1, len - 1, 0);
+  std::memcpy(out.data() + at, buf, len);
 }
 
 }  // namespace
@@ -290,31 +298,25 @@ std::size_t PiggybackCodec::encode_sparse(const PiggybackView& payload,
   }
   const auto n = static_cast<std::size_t>(n_);
   if (shape_.simple) {
-    varint::put(payload.simple.count(), out);
-    std::size_t prev = 0;
-    bool first = true;
-    for (std::size_t i = payload.simple.find_next(0); i < n;
-         i = payload.simple.find_next(i + 1)) {
-      varint::put(first ? i : i - prev - 1, out);
-      prev = i;
-      first = false;
-    }
+    const std::size_t at = out.size();
+    out.push_back(0);
+    std::size_t next = 0;
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < row_words_; ++w)
+      put_gaps(payload.simple.words()[w], w * 64, next, count, out);
+    patch_count(out, at, count);
   }
   if (shape_.causal) {
+    // Row r's bit c sits at r * n + c of the row-major linearization.
+    const std::size_t at = out.size();
+    out.push_back(0);
+    const std::uint64_t* rows = payload.causal.row(0).words();
+    std::size_t next = 0;
     std::size_t count = 0;
-    for (std::size_t r = 0; r < n; ++r) count += payload.causal.row(r).count();
-    varint::put(count, out);
-    std::size_t prev = 0;
-    bool first = true;
-    for (std::size_t r = 0; r < n; ++r) {
-      const ConstBitSpan row = payload.causal.row(r);
-      for (std::size_t c = row.find_next(0); c < n; c = row.find_next(c + 1)) {
-        const std::size_t pos = r * n + c;
-        varint::put(first ? pos : pos - prev - 1, out);
-        prev = pos;
-        first = false;
-      }
-    }
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t w = 0; w < row_words_; ++w)
+        put_gaps(rows[r * row_words_ + w], r * n + w * 64, next, count, out);
+    patch_count(out, at, count);
   }
   if (shape_.index) {
     RDT_CHECK(payload.index >= 0 && payload.index < kMaxPiggybackIndex,
@@ -334,14 +336,21 @@ void PiggybackCodec::decode_sparse(std::span<const std::uint8_t> bytes,
         get_capped(bytes, at, end,
                    static_cast<std::uint64_t>(kMaxPiggybackIndex), "tdv entry"));
   if (shape_.simple) {
-    slot.simple.reset();
-    get_offsets(bytes, at, end, n, "simple set-bit",
-                [&](std::size_t pos) { slot.simple.set(pos); });
+    std::uint64_t* words = slot.simple.words();
+    std::memset(words, 0, row_words_ * sizeof(std::uint64_t));
+    get_offsets(bytes, at, end, n, "simple set-bit", [&](std::size_t pos) {
+      words[pos / 64] |= 1ULL << (pos % 64);
+    });
   }
   if (shape_.causal) {
-    for (std::size_t r = 0; r < n; ++r) slot.causal.row(r).reset();
+    // Offsets strictly increase, so the row only ever moves forward.
+    std::uint64_t* row = slot.causal.row(0).words();
+    std::memset(row, 0, n * row_words_ * sizeof(std::uint64_t));
+    std::size_t row_start = 0;
     get_offsets(bytes, at, end, n * n, "causal set-bit", [&](std::size_t pos) {
-      slot.causal.row(pos / n).set(pos % n);
+      for (; pos - row_start >= n; row_start += n) row += row_words_;
+      const std::size_t c = pos - row_start;
+      row[c / 64] |= 1ULL << (c % 64);
     });
   }
   if (shape_.index)
@@ -356,66 +365,66 @@ void PiggybackCodec::decode_sparse(std::span<const std::uint8_t> bytes,
 std::size_t PiggybackCodec::encode_delta(std::size_t ch,
                                          const PiggybackView& payload,
                                          std::vector<std::uint8_t>& out) {
+  // Every count below is at most n <= kMaxDeltaProcesses, a one-byte
+  // varint: each plane writes a placeholder byte and back-patches it.
+  static_assert(kMaxDeltaProcesses < 0x80);
   const std::size_t start = out.size();
   const auto n = static_cast<std::size_t>(n_);
   if (shape_.tdv) {
     CkptIndex* shadow = enc_.tdv.data() + ch * n;
+    const std::size_t at = out.size();
+    out.push_back(0);
+    std::size_t next = 0;
     std::size_t count = 0;
-    for (std::size_t k = 0; k < n; ++k)
-      if (payload.tdv[k] != shadow[k]) ++count;
-    varint::put(count, out);
-    std::size_t prev = 0;
-    bool first = true;
     for (std::size_t k = 0; k < n; ++k) {
       if (payload.tdv[k] == shadow[k]) continue;
       RDT_CHECK(payload.tdv[k] > shadow[k] &&
                     payload.tdv[k] < kMaxPiggybackIndex,
                 "tdv entries must grow monotonically per channel");
-      varint::put(first ? k : k - prev - 1, out);
+      varint::put(k - next, out);
       varint::put(static_cast<std::uint64_t>(payload.tdv[k] - shadow[k]), out);
-      prev = k;
-      first = false;
+      next = k + 1;
+      ++count;
       shadow[k] = payload.tdv[k];
     }
+    out[at] = static_cast<std::uint8_t>(count);
   }
   if (shape_.simple) {
     std::uint64_t* shadow = enc_.simple.data() + ch * row_words_;
-    varint::put(count_diff_bits(payload.simple.words(), shadow, row_words_),
-                out);
-    std::size_t prev = 0;
-    bool first = true;
-    for_each_diff_bit(payload.simple.words(), shadow, row_words_,
-                      [&](std::size_t pos) {
-                        varint::put(first ? pos : pos - prev - 1, out);
-                        prev = pos;
-                        first = false;
-                      });
-    std::memcpy(shadow, payload.simple.words(),
-                row_words_ * sizeof(std::uint64_t));
+    const std::uint64_t* words = payload.simple.words();
+    const std::size_t at = out.size();
+    out.push_back(0);
+    std::size_t next = 0;
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < row_words_; ++w) {
+      put_gaps(words[w] ^ shadow[w], w * 64, next, count, out);
+      shadow[w] = words[w];
+    }
+    out[at] = static_cast<std::uint8_t>(count);
   }
   if (shape_.causal) {
     std::uint64_t* shadow = enc_.causal.data() + ch * n * row_words_;
-    std::size_t rows_changed = 0;
-    for (std::size_t r = 0; r < n; ++r)
-      if (count_diff_bits(payload.causal.row(r).words(),
-                          shadow + r * row_words_, row_words_) != 0)
-        ++rows_changed;
-    varint::put(rows_changed, out);
-    std::size_t prev = 0;
-    bool first = true;
+    const std::uint64_t* rows = payload.causal.row(0).words();
+    const std::size_t at = out.size();
+    out.push_back(0);
+    std::size_t next = 0;
+    std::size_t count = 0;
     for (std::size_t r = 0; r < n; ++r) {
-      const std::uint64_t* row = payload.causal.row(r).words();
+      const std::uint64_t* row = rows + r * row_words_;
       std::uint64_t* row_shadow = shadow + r * row_words_;
-      if (count_diff_bits(row, row_shadow, row_words_) == 0) continue;
-      varint::put(first ? r : r - prev - 1, out);
+      std::uint64_t changed = 0;
+      for (std::size_t w = 0; w < row_words_; ++w) changed |= row[w] ^ row_shadow[w];
+      if (changed == 0) continue;
+      varint::put(r - next, out);
       // XOR mask, byte-aligned like a flat causal row.
       for (std::size_t i = 0; i < plane_bytes(n); ++i)
         out.push_back(static_cast<std::uint8_t>(
             (row[i / 8] ^ row_shadow[i / 8]) >> (8 * (i % 8))));
-      prev = r;
-      first = false;
       std::memcpy(row_shadow, row, row_words_ * sizeof(std::uint64_t));
+      next = r + 1;
+      ++count;
     }
+    out[at] = static_cast<std::uint8_t>(count);
   }
   if (shape_.index) {
     CkptIndex& shadow = enc_.index[ch];
@@ -459,21 +468,22 @@ void PiggybackCodec::decode_delta(std::size_t ch,
     }
   }
   if (shape_.simple) {
-    const std::uint64_t* shadow = dec_.simple.data() + ch * row_words_;
-    std::memcpy(slot.simple.words(), shadow,
+    std::uint64_t* words = slot.simple.words();
+    std::memcpy(words, dec_.simple.data() + ch * row_words_,
                 row_words_ * sizeof(std::uint64_t));
     get_offsets(bytes, at, end, n, "simple flip", [&](std::size_t pos) {
-      slot.simple.set(pos, !slot.simple.get(pos));
+      words[pos / 64] ^= 1ULL << (pos % 64);
     });
   }
   if (shape_.causal) {
     const std::uint64_t* shadow = dec_.causal.data() + ch * n * row_words_;
-    std::memcpy(slot.causal.row(0).words(), shadow,
-                n * row_words_ * sizeof(std::uint64_t));
-    const std::uint64_t rows = get_capped(bytes, at, end, n + 1, "causal row count");
+    std::uint64_t* rows = slot.causal.row(0).words();
+    std::memcpy(rows, shadow, n * row_words_ * sizeof(std::uint64_t));
+    const std::size_t mask_bytes = plane_bytes(n);
+    const std::uint64_t changed = get_capped(bytes, at, end, n + 1, "causal row count");
     std::uint64_t r = 0;
     bool first = true;
-    for (std::uint64_t i = 0; i < rows; ++i) {
+    for (std::uint64_t i = 0; i < changed; ++i) {
       const std::size_t gap_at = at;
       const std::uint64_t gap = get_varint(bytes, at, end, "causal row gap");
       if (gap >= n) fail(gap_at, "causal row gap runs past the plane size");
@@ -481,17 +491,20 @@ void PiggybackCodec::decode_delta(std::size_t ch,
       first = false;
       if (r >= n) fail(gap_at, "causal row offset runs past the plane size");
       const std::size_t mask_at = at;
-      need_bytes(at, end, plane_bytes(n), "causal row mask");
-      std::uint64_t* row = slot.causal.row(static_cast<std::size_t>(r)).words();
-      bool any = false;
-      for (std::size_t b = 0; b < plane_bytes(n); ++b) {
-        const std::uint8_t m = bytes[at + b];
-        any = any || m != 0;
-        row[b / 8] ^= static_cast<std::uint64_t>(m) << (8 * (b % 8));
+      need_bytes(at, end, mask_bytes, "causal row mask");
+      // The mask a word at a time: up to 8 little-endian bytes per word.
+      std::uint64_t* row = rows + static_cast<std::size_t>(r) * row_words_;
+      std::uint64_t any = 0;
+      for (std::size_t w = 0; w < row_words_; ++w) {
+        std::uint64_t mask = 0;
+        for (std::size_t b = 8 * w; b < std::min(mask_bytes, 8 * w + 8); ++b)
+          mask |= static_cast<std::uint64_t>(bytes[at + b]) << (8 * (b % 8));
+        any |= mask;
+        row[w] ^= mask;
       }
-      at += plane_bytes(n);
-      if (!any) fail(mask_at, "all-zero causal row mask is non-canonical");
-      if (!slot.causal.row(static_cast<std::size_t>(r)).tail_zero())
+      at += mask_bytes;
+      if (any == 0) fail(mask_at, "all-zero causal row mask is non-canonical");
+      if (!bitdetail::tail_zero(row, n))
         fail(mask_at, "causal row mask has stray bits beyond the plane width");
     }
   }

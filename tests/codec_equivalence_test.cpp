@@ -147,6 +147,78 @@ TEST(CodecEquivalence, SweepWireBitsAreMeasuredAndBounded) {
   }
 }
 
+// Byte identity of every codec on real protocol traffic: fixed-seed
+// replays of the three presets (plus a 70-process random run, whose rows
+// span two words and which only the stateless codecs accept) for every
+// study protocol that carries a payload (CBR and NRAS carry none), each
+// payload encoded in send order under every codec that accepts the
+// process count. The FNV-1a hash of the concatenated bytes and the total
+// bits are pinned to what the per-bit reference encoders produced, so an
+// encoder rewrite must emit the same bytes, not merely bytes that decode
+// to the same planes, and the protocols must fill the same payloads.
+TEST(CodecEquivalence, StudyTrafficBytesArePinned) {
+  std::vector<Trace> traces;
+  for (const Env& env : small_environments()) traces.push_back(env.generate(5));
+  RandomEnvConfig wide;
+  wide.num_processes = 70;
+  wide.duration = 30.0;
+  wide.basic_ckpt_mean = 8.0;
+  wide.seed = 5;
+  traces.push_back(random_environment(wide));
+
+  struct Golden {
+    ProtocolKind kind;
+    PiggybackCodecKind codec;
+    std::uint64_t hash;
+    std::uint64_t bits;
+  };
+  const std::vector<Golden> golden = {
+      {ProtocolKind::kFdi, PiggybackCodecKind::kFlat, 0xa7d079a05f9a5792ULL, 4847232},
+      {ProtocolKind::kFdi, PiggybackCodecKind::kDelta, 0xb0a0aed584263aa7ULL, 76048},
+      {ProtocolKind::kFdi, PiggybackCodecKind::kSparse, 0xe870bfb49c0c10ccULL, 1211808},
+      {ProtocolKind::kFdas, PiggybackCodecKind::kFlat, 0xe3110f6a4c0b5702ULL, 4847232},
+      {ProtocolKind::kFdas, PiggybackCodecKind::kDelta, 0x182ce5f91cbb7c92ULL, 76048},
+      {ProtocolKind::kFdas, PiggybackCodecKind::kSparse, 0xa150d7acb266ed54ULL, 1211808},
+      {ProtocolKind::kBhmrC1Only, PiggybackCodecKind::kFlat, 0x294aa23ff276b717ULL, 15305760},
+      {ProtocolKind::kBhmrC1Only, PiggybackCodecKind::kDelta, 0xc8a442917415691bULL, 126736},
+      {ProtocolKind::kBhmrC1Only, PiggybackCodecKind::kSparse, 0xeada6ccbfc88f950ULL, 6285528},
+      {ProtocolKind::kBhmrNoSimple, PiggybackCodecKind::kFlat, 0x6422265aaaa0753aULL, 15305760},
+      {ProtocolKind::kBhmrNoSimple, PiggybackCodecKind::kDelta, 0x0b6df62f69842797ULL, 129680},
+      {ProtocolKind::kBhmrNoSimple, PiggybackCodecKind::kSparse, 0x54cb209b5a6cab71ULL, 7476696},
+      {ProtocolKind::kBhmr, PiggybackCodecKind::kFlat, 0x198010b0214a57daULL, 15463696},
+      {ProtocolKind::kBhmr, PiggybackCodecKind::kDelta, 0x070f07d088dee5dbULL, 156816},
+      {ProtocolKind::kBhmr, PiggybackCodecKind::kSparse, 0x798a43dd86c6eaf1ULL, 7662368},
+      {ProtocolKind::kAdaptive, PiggybackCodecKind::kFlat, 0x3856e9927ae48a94ULL, 15463696},
+      {ProtocolKind::kAdaptive, PiggybackCodecKind::kDelta, 0xf707589df6010425ULL, 152952},
+      {ProtocolKind::kAdaptive, PiggybackCodecKind::kSparse, 0xb7b93a1265b79868ULL, 7434296},
+  };
+  PayloadArena arena;
+  std::vector<std::uint8_t> bytes;
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(to_string(g.kind) + "/" + to_cstring(g.codec));
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t bits = 0;
+    for (const Trace& trace : traces) {
+      if (g.codec == PiggybackCodecKind::kDelta &&
+          trace.num_processes > kMaxDeltaProcesses)
+        continue;
+      replay_metrics(trace, g.kind, &arena);
+      PiggybackCodec codec(g.codec, trace.num_processes,
+                           ProtocolRegistry::instance().info(g.kind).shape);
+      for (const TraceOp& op : trace.ops) {
+        if (op.kind != TraceOpKind::kSend) continue;
+        const TraceMessage& m = trace.messages[static_cast<std::size_t>(op.msg)];
+        bytes.clear();
+        codec.encode(m.sender, m.receiver, arena.view(op.msg), bytes);
+        for (const std::uint8_t b : bytes) hash = (hash ^ b) * 0x100000001b3ULL;
+        bits += 8 * bytes.size();
+      }
+    }
+    EXPECT_EQ(hash, g.hash);
+    EXPECT_EQ(bits, g.bits);
+  }
+}
+
 // Degenerate traces stay degenerate through the codec path: no messages
 // means no wire bits and no decode calls, with or without checkpoints.
 TEST(CodecEquivalence, MessageFreeTraces) {

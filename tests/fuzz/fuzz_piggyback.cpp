@@ -13,9 +13,12 @@
 // that fails to decode, or decodes differently, means the encoder and
 // decoder disagree on what "canonical" means.
 //
-// Input layout: [0] codec kind (mod 3), [1] process count (1 + mod 12),
+// Input layout: [0] codec kind (mod 3), [1] process count (1 + mod 12, or
+// 63/64/65/130 for the values 252..255 — rows of one full word, of two
+// words, and of three; the delta codec caps them at kMaxDeltaProcesses),
 // [2] shape bits (1 tdv, 2 simple, 4 causal, 8 index), [3]/[4] channel
 // seeds, [5..] a concatenated stream of encoded payloads.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -73,7 +76,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 5 || size > (1u << 20)) return 0;
   const auto kind = static_cast<rdt::PiggybackCodecKind>(data[0] % 3);
-  const int n = 1 + data[1] % 12;
+  constexpr int kWide[] = {63, 64, 65, 130};
+  int n = data[1] >= 252 ? kWide[data[1] - 252] : 1 + data[1] % 12;
+  if (kind == rdt::PiggybackCodecKind::kDelta)
+    n = std::min(n, rdt::kMaxDeltaProcesses);
   const rdt::PayloadShape shape{.tdv = (data[2] & 1) != 0,
                                 .simple = (data[2] & 2) != 0,
                                 .causal = (data[2] & 4) != 0,

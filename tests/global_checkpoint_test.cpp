@@ -158,6 +158,72 @@ TEST(Containing, MaxContainingIsConsistentAndPinned) {
   }
 }
 
+// Both worklist fixpoints against exhaustive search on random patterns of
+// four processes: every global checkpoint of the lattice is enumerated,
+// and the least / greatest consistent ones honouring the pins (or none)
+// must be what the containing variants return. Random pin sets of one to
+// three processes include many unsatisfiable ones (zigzag paths between
+// pins), where both fixpoints must fail.
+TEST(Containing, BothFixpointsMatchExhaustiveSearch) {
+  Rng rng(8);
+  int satisfiable = 0;
+  int unsatisfiable = 0;
+  for (int round = 0; round < 40; ++round) {
+    const Pattern p = test::random_pattern(rng, 4, 36);
+    std::vector<GlobalCkpt> lattice;  // every consistent global checkpoint
+    GlobalCkpt cur = bottom_global_ckpt(p);
+    while (true) {
+      if (consistent(p, cur)) lattice.push_back(cur);
+      ProcessId i = 0;
+      for (; i < p.num_processes(); ++i) {
+        auto& x = cur.indices[static_cast<std::size_t>(i)];
+        if (x < p.last_ckpt(i)) {
+          ++x;
+          break;
+        }
+        x = 0;
+      }
+      if (i == p.num_processes()) break;
+    }
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<CkptId> pins;
+      for (ProcessId i = 0; i < p.num_processes(); ++i)
+        if (rng.uniform() < 0.5 && pins.size() < 3)
+          pins.push_back({i, static_cast<CkptIndex>(rng.below(
+                                 static_cast<std::uint64_t>(p.last_ckpt(i) + 1)))});
+      std::optional<GlobalCkpt> least;
+      std::optional<GlobalCkpt> greatest;
+      for (const GlobalCkpt& g : lattice) {
+        bool honours = true;
+        for (const CkptId& c : pins)
+          honours = honours && g.indices[static_cast<std::size_t>(c.process)] == c.index;
+        if (!honours) continue;
+        least = least ? componentwise_min(*least, g) : g;
+        greatest = greatest ? componentwise_max(*greatest, g) : g;
+      }
+      (least ? satisfiable : unsatisfiable) += 1;
+      EXPECT_EQ(min_consistent_containing(p, pins), least) << "round " << round;
+      EXPECT_EQ(max_consistent_containing(p, pins), greatest) << "round " << round;
+      EXPECT_EQ(brute_force_min_consistent_containing(p, pins), least);
+    }
+    // The unpinned duals from a random bound.
+    GlobalCkpt bound;
+    for (ProcessId i = 0; i < p.num_processes(); ++i)
+      bound.indices.push_back(static_cast<CkptIndex>(
+          rng.below(static_cast<std::uint64_t>(p.last_ckpt(i) + 1))));
+    std::optional<GlobalCkpt> above;
+    std::optional<GlobalCkpt> below;
+    for (const GlobalCkpt& g : lattice) {
+      if (leq(bound, g)) above = above ? componentwise_min(*above, g) : g;
+      if (leq(g, bound)) below = below ? componentwise_max(*below, g) : g;
+    }
+    EXPECT_EQ(min_consistent_geq(p, bound), above);
+    EXPECT_EQ(max_consistent_leq(p, bound), below);
+  }
+  EXPECT_GT(satisfiable, 100);
+  EXPECT_GT(unsatisfiable, 20);
+}
+
 TEST(Corollary45, TdvIsMinContainingUnderRdt) {
   // On RDT patterns, the TDV saved at a checkpoint IS the minimum
   // consistent global checkpoint containing it (the paper's Corollary 4.5).
